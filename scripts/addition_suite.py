@@ -21,13 +21,6 @@ GF2 = PrimeField(2)
 GF3 = PrimeField(3)
 
 
-class ZeroSub(SubshiftPresentation):
-    def __init__(self, ambient):
-        self.cocycle = ambient.cocycle
-        self.rank = ambient.rank
-        self.generators = ()
-
-
 def build_suite():
     Z, Z2, X = FreeAbelian(1), FreeAbelian(2), ZCrossZ2()
     cz = trivial_cocycle(GF2, Z)
@@ -41,7 +34,7 @@ def build_suite():
          cyclic_presentation(cz2, parse_element(GF2, Z2, "1*(0,0) + 1*(1,0)")), Boxes(Z2)),
         ("GF3[ZxZ2] / (e+s)", bernoulli(cx, 1),
          cyclic_presentation(cx, parse_element(GF3, X, "1*(0,0) + 1*(0,1)")), BoxTimesZ2(X)),
-        ("M / 0", M_Z, ZeroSub(M_Z), Boxes(Z)),
+        ("M / 0", M_Z, SubshiftPresentation(cz, 1, ()), Boxes(Z)),
         ("M / M", M_Z, M_Z, Boxes(Z)),
     ]
 
@@ -51,7 +44,8 @@ def main():
     print(f"{'pair':22s} {'e(M)':>8s} {'e(N)':>8s} {'e(M/N)':>8s} {'disc':>8s}  checks")
     for name, M, N, scheme in build_suite():
         rep = addition_check(M, N, scheme, n_max, Fraction(1, 20))
-        checks = "ses" if rep.ses_exact_all else "SES-FAIL"
+        # addition_check raises unless every window splits exactly
+        checks = "ses"
         checks += ",lower-bound" if rep.lower_bound_ok_all else ",LOWER-BOUND-FAIL"
         checks += ",stable" if rep.all_stabilized else ",BUDGET"
         print(

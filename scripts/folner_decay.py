@@ -10,7 +10,7 @@ Usage: python3 scripts/folner_decay.py [n_max]
 import sys
 from fractions import Fraction
 
-from entrolen.folner import boundary, default_scheme, folner_set
+from entrolen.folner import boundary, default_scheme
 from entrolen.groups import ball, FreeAbelian, Heisenberg, ZCrossZ2
 
 
@@ -22,7 +22,7 @@ def main():
         print(f"# group={group.name} scheme={scheme.name} C=ball(1)")
         print("n,folner_size,boundary_size,ratio")
         for n in range(1, n_max + 1):
-            F = folner_set(scheme, n)
+            F = scheme.set_at(n)
             b = len(boundary(F, C))
             r = Fraction(b, len(F))
             print(f"{n},{len(F)},{b},{r.numerator}/{r.denominator}")

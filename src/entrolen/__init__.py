@@ -1,92 +1,9 @@
 """Exact Folner calculus, quasi-tilings and trajectory entropy for
-modules over twisted group algebras of concrete amenable groups."""
+modules over twisted group algebras of concrete amenable groups.
 
-from .groups import (
-    ball,
-    FiniteSubset,
-    format_group_element,
-    FreeAbelian,
-    group_from_name,
-    Heisenberg,
-    parse_group_element,
-    set_inverse,
-    set_product,
-    translate,
-    ZCrossZ2,
-)
-from .folner import (
-    boundary,
-    boundary_ratio,
-    Boxes,
-    BoxTimesZ2,
-    default_scheme,
-    exterior,
-    folner_set,
-    interior,
-    scheme_from_name,
-    verify_exhaustion,
-    WordBalls,
-)
-from .exact_linalg import (
-    Echelon,
-    field_from_name,
-    intersect,
-    membership,
-    PrimeField,
-    QuadraticField,
-    quotient_dim,
-    RationalField,
-    span,
-    span_dim,
-    Subspace,
-)
-from .crossed_product import (
-    act,
-    check_direct_finiteness_witness,
-    CocycleData,
-    cocycle_from_name,
-    CrossedElement,
-    find_annihilator,
-    format_element,
-    frobenius_cocycle,
-    multiply,
-    parse_element,
-    trivial_cocycle,
-    validate_cocycle,
-)
-from .tiling import (
-    build_net,
-    check_alpha_cover,
-    check_epsilon_disjoint,
-    check_quasi_tiling,
-    greedy_quasi_tile,
-    Net,
-    net_density,
-    ow_upper_bound,
-    QuasiTiling,
-    TilingFailed,
-)
-from .shift_modules import (
-    bernoulli,
-    cyclic_presentation,
-    parse_presentation_text,
-    PresentationError,
-    serialize_presentation,
-    ses_dims,
-    StabilizationConfig,
-    SubshiftPresentation,
-    trajectory,
-    trajectory_dim,
-    trajectory_dim_quotient,
-)
-from .entropy import (
-    addition_check,
-    certified_upper_bound,
-    EntropyEstimate,
-    estimate,
-    estimate_quotient,
-    integrality_report,
-    zero_divisor_scan,
-)
+The Python API lives in the submodules (groups, folner, exact_linalg,
+crossed_product, tiling, shift_modules, entropy) and the command line in
+cli; the package itself re-exports nothing.
+"""
 
 __version__ = "0.1.0"

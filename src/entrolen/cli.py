@@ -16,26 +16,15 @@ import sys
 from fractions import Fraction
 
 from .crossed_product import (
+    _parse_terms,
     cocycle_from_name,
     format_element,
     parse_element,
     validate_cocycle,
 )
 from .exact_linalg import field_from_name
-from .folner import (
-    boundary,
-    Boxes,
-    BoxTimesZ2,
-    default_scheme,
-    folner_set,
-    scheme_from_name,
-)
-from .groups import (
-    ball,
-    format_group_element,
-    group_from_name,
-    parse_group_element,
-)
+from .folner import boundary, default_scheme, scheme_from_name
+from .groups import ball, format_group_element, group_from_name
 from .entropy import (
     addition_check,
     certified_upper_bound,
@@ -91,37 +80,9 @@ def _parse_inline_generators(field, group, rank: int, text: str):
     list of terms coeff*(g)|coord with 1-based coordinates."""
     generators = []
     for gen_str in text.split(";"):
-        gen_str = gen_str.strip()
-        if not gen_str:
+        if not gen_str.strip():
             raise CliError("empty generator in --gen")
-        vec: dict = {}
-        for term in gen_str.split(" + "):
-            term = term.strip()
-            if "|" not in term:
-                raise CliError(f"term {term!r} needs a |coord suffix")
-            body, _, coord_str = term.rpartition("|")
-            try:
-                coord = int(coord_str)
-            except ValueError:
-                raise CliError(f"bad coordinate {coord_str!r} in {term!r}") from None
-            if not (1 <= coord <= rank):
-                raise CliError(f"coordinate {coord} outside 1..{rank}")
-            if "*(" not in body:
-                raise CliError(f"term {term!r} must look like coeff*(g)|coord")
-            coeff_str, g_body = body.rsplit("*(", 1)
-            try:
-                coeff = field.parse(coeff_str)
-                g = parse_group_element(group, "(" + g_body)
-            except ValueError as exc:
-                raise CliError(str(exc)) from None
-            if not coeff:
-                raise CliError(f"zero coefficient in {term!r}")
-            key = (g, coord - 1)
-            nv = field.add(vec.get(key, field.zero), coeff)
-            if nv:
-                vec[key] = nv
-            else:
-                vec.pop(key, None)
+        vec = _parse_terms(field, group, gen_str.strip(), rank)
         if not vec:
             raise CliError("generator vanishes after combining terms")
         generators.append(vec)
@@ -142,46 +103,60 @@ def _int_list_arg(text: str):
         raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from None
 
 
-_COMMON_KEYS = {
-    "group",
-    "field",
-    "scheme",
-    "cocycle",
-    "seed",
-    "out",
-}
-_COMMAND_KEYS = {
-    "entropy": _COMMON_KEYS
-    | {"rank", "gen", "presentation", "nmax", "certify_eps", "tiles", "ncheck"},
-    "quotient-entropy": _COMMON_KEYS
-    | {
-        "rank",
-        "gen",
-        "ngen",
-        "presentation",
-        "npresentation",
-        "nmax",
-        "stability_window",
-        "max_steps",
-    },
-    "addition-check": _COMMON_KEYS
-    | {
-        "rank",
-        "gen",
-        "ngen",
-        "presentation",
-        "npresentation",
-        "nmax",
-        "tol",
-        "stability_window",
-        "max_steps",
-    },
-    "zerodiv": _COMMON_KEYS
-    | {"elem", "nmax", "radius", "stability_window", "max_steps"},
-    "tile": _COMMON_KEYS | {"target", "tiles", "eps"},
-    "folner-ratios": _COMMON_KEYS | {"nmax", "cshape", "cradius"},
-    "validate-cocycle": _COMMON_KEYS | {"sigma", "rho", "budget"},
-}
+_ALL = (
+    "entropy",
+    "quotient-entropy",
+    "addition-check",
+    "zerodiv",
+    "tile",
+    "folner-ratios",
+    "validate-cocycle",
+)
+_GEN = ("entropy", "quotient-entropy", "addition-check")
+_SUB = ("quotient-entropy", "addition-check")
+_STAB = ("quotient-entropy", "addition-check", "zerodiv")
+
+# Every option once, as (key, converter, choices, commands).  The flag is
+# --key with "_" spelled "-"; the same converter and choices check the
+# key=value lines of a config file.  Table order is --help order.
+_OPTIONS = (
+    ("group", str, None, _ALL),
+    ("field", str, None, _ALL),
+    ("scheme", str, None, _ALL),
+    ("cocycle", str, None, _ALL),
+    ("seed", int, None, _ALL),
+    ("out", str, None, _ALL),
+    ("rank", int, None, _GEN),
+    ("gen", str, None, _GEN),
+    ("ngen", str, None, _SUB),
+    ("presentation", str, None, _GEN),
+    ("npresentation", str, None, _SUB),
+    ("elem", str, None, ("zerodiv",)),
+    ("nmax", int, None, _GEN + ("zerodiv", "folner-ratios")),
+    ("target", int, None, ("tile",)),
+    ("certify_eps", _fraction_arg, None, ("entropy",)),
+    ("tiles", _int_list_arg, None, ("entropy", "tile")),
+    ("ncheck", int, None, ("entropy",)),
+    ("eps", _fraction_arg, None, ("tile",)),
+    ("tol", _fraction_arg, None, ("addition-check",)),
+    ("radius", int, None, ("zerodiv",)),
+    ("stability_window", int, None, _STAB),
+    ("max_steps", int, None, _STAB),
+    ("cshape", str, ("box", "ball"), ("folner-ratios",)),
+    ("cradius", int, None, ("folner-ratios",)),
+    ("sigma", str, ("trivial", "frobenius"), ("validate-cocycle",)),
+    ("rho", str, ("trivial",), ("validate-cocycle",)),
+    ("budget", int, None, ("validate-cocycle",)),
+)
+
+
+def _command_options(command: str) -> dict:
+    """key -> (converter, choices) for the options of one command."""
+    return {
+        key: (conv, choices)
+        for key, conv, choices, commands in _OPTIONS
+        if command in commands
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -190,99 +165,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact Folner, tiling and trajectory-entropy runs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, (_, help_text) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="key=value config file; flags override")
-        p.add_argument("--group")
-        p.add_argument("--field")
-        p.add_argument("--scheme")
-        p.add_argument("--cocycle")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out")
-
-    p = sub.add_parser("entropy", help="window ratios of a presentation")
-    common(p)
-    p.add_argument("--rank", type=int)
-    p.add_argument("--gen")
-    p.add_argument("--presentation")
-    p.add_argument("--nmax", type=int)
-    p.add_argument("--certify-eps", dest="certify_eps", type=_fraction_arg)
-    p.add_argument("--tiles", type=_int_list_arg)
-    p.add_argument("--ncheck", type=int)
-
-    p = sub.add_parser("quotient-entropy", help="quotient window ratios")
-    common(p)
-    p.add_argument("--rank", type=int)
-    p.add_argument("--gen")
-    p.add_argument("--ngen")
-    p.add_argument("--presentation")
-    p.add_argument("--npresentation")
-    p.add_argument("--nmax", type=int)
-    p.add_argument("--stability-window", dest="stability_window", type=int)
-    p.add_argument("--max-steps", dest="max_steps", type=int)
-
-    p = sub.add_parser("addition-check", help="additivity report")
-    common(p)
-    p.add_argument("--rank", type=int)
-    p.add_argument("--gen")
-    p.add_argument("--ngen")
-    p.add_argument("--presentation")
-    p.add_argument("--npresentation")
-    p.add_argument("--nmax", type=int)
-    p.add_argument("--tol", type=_fraction_arg)
-    p.add_argument("--stability-window", dest="stability_window", type=int)
-    p.add_argument("--max-steps", dest="max_steps", type=int)
-
-    p = sub.add_parser("zerodiv", help="zero-divisor scan of a ring element")
-    common(p)
-    p.add_argument("--elem")
-    p.add_argument("--nmax", type=int)
-    p.add_argument("--radius", type=int)
-    p.add_argument("--stability-window", dest="stability_window", type=int)
-    p.add_argument("--max-steps", dest="max_steps", type=int)
-
-    p = sub.add_parser("tile", help="greedy quasi-tiling of a Folner window")
-    common(p)
-    p.add_argument("--target", type=int)
-    p.add_argument("--tiles", type=_int_list_arg)
-    p.add_argument("--eps", type=_fraction_arg)
-
-    p = sub.add_parser("folner-ratios", help="boundary ratio CSV")
-    common(p)
-    p.add_argument("--nmax", type=int)
-    p.add_argument("--cshape", choices=["box", "ball"])
-    p.add_argument("--cradius", type=int)
-
-    p = sub.add_parser("validate-cocycle", help="sampled twist-data checks")
-    common(p)
-    p.add_argument("--sigma", choices=["trivial", "frobenius"])
-    p.add_argument("--rho", choices=["trivial"])
-    p.add_argument("--budget", type=int)
-
+        for key, (conv, choices) in _command_options(command).items():
+            flag = "--" + key.replace("_", "-")
+            p.add_argument(flag, dest=key, type=conv, choices=choices)
     return parser
-
-
-_CONFIG_PARSERS = {
-    "seed": int,
-    "rank": int,
-    "nmax": int,
-    "ncheck": int,
-    "radius": int,
-    "target": int,
-    "cradius": int,
-    "budget": int,
-    "stability_window": int,
-    "max_steps": int,
-    "tol": Fraction,
-    "eps": Fraction,
-    "certify_eps": Fraction,
-    "tiles": lambda s: tuple(int(x) for x in s.split(",")),
-}
 
 
 def _load_config_file(path: str, command: str) -> dict:
     values: dict = {}
-    allowed = _COMMAND_KEYS[command]
+    options = _command_options(command)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -296,14 +190,17 @@ def _load_config_file(path: str, command: str) -> dict:
             raise CliError(f"{path}:{lineno}: expected key=value")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
-        value = value.strip()
-        if key not in allowed:
+        if key not in options:
             raise CliError(f"{path}:{lineno}: unknown key {key!r} for {command}")
-        conv = _CONFIG_PARSERS.get(key, str)
+        conv, choices = options[key]
         try:
-            values[key] = conv(value)
-        except (ValueError, ZeroDivisionError):
+            values[key] = conv(value.strip())
+        except (ValueError, argparse.ArgumentTypeError):
             raise CliError(f"{path}:{lineno}: bad value for {key!r}") from None
+        if choices and values[key] not in choices:
+            raise CliError(
+                f"{path}:{lineno}: {key} must be one of {', '.join(choices)}"
+            )
     return values
 
 
@@ -313,10 +210,10 @@ class RunConfig:
     def __init__(self, ns: argparse.Namespace):
         self.command = ns.command
         merged: dict = {}
-        if getattr(ns, "config", None):
+        if ns.config:
             merged.update(_load_config_file(ns.config, ns.command))
-        for key in _COMMAND_KEYS[ns.command]:
-            flag = getattr(ns, key, None)
+        for key in _command_options(ns.command):
+            flag = getattr(ns, key)
             if flag is not None:
                 merged[key] = flag
         env_seed = os.environ.get("ENTROLEN_SEED")
@@ -421,23 +318,13 @@ def _sub_presentation(run: RunConfig, ambient: SubshiftPresentation):
     text = run.get("ngen")
     if text is None:
         raise CliError("need --ngen or --npresentation")
-    if not text.strip() or text.strip() == "0":
-        # zero submodule: presented by no generators
-        return _ZeroSub(ambient)
-    gens = _parse_inline_generators(
-        ambient.field, ambient.group, ambient.rank, text
-    )
+    if text.strip() in ("", "0"):
+        gens = []  # the zero submodule is presented by no generators
+    else:
+        gens = _parse_inline_generators(
+            ambient.field, ambient.group, ambient.rank, text
+        )
     return SubshiftPresentation(ambient.cocycle, ambient.rank, gens)
-
-
-class _ZeroSub(SubshiftPresentation):
-    """Zero submodule of a given ambient module (no generators)."""
-
-    def __init__(self, ambient: SubshiftPresentation):
-        # bypasses the base validation: the zero module has no generators
-        self.cocycle = ambient.cocycle
-        self.rank = ambient.rank
-        self.generators = ()
 
 
 def _cmd_addition(run: RunConfig) -> int:
@@ -459,7 +346,8 @@ def _cmd_addition(run: RunConfig) -> int:
         f"discrepancy={_fmt_fraction(report.discrepancy)}",
         f"tolerance={_fmt_fraction(report.tolerance)}",
         f"within_tolerance={str(report.within_tolerance).lower()}",
-        f"ses_exact={str(report.ses_exact_all).lower()}",
+        # _quotient_split raises unless every window splits exactly
+        "ses_exact=true",
         f"lower_bound_inequality={str(report.lower_bound_ok_all).lower()}",
         f"stabilized={str(report.all_stabilized).lower()}",
         f"pass={str(report.passed).lower()}",
@@ -502,8 +390,8 @@ def _cmd_zerodiv(run: RunConfig) -> int:
 def _cmd_tile(run: RunConfig) -> int:
     group = run.group()
     scheme = run.scheme(group)
-    target = folner_set(scheme, run.require("target"))
-    tiles = [folner_set(scheme, i) for i in run.require("tiles")]
+    target = scheme.set_at(run.require("target"))
+    tiles = [scheme.set_at(i) for i in run.require("tiles")]
     eps = run.require("eps")
     try:
         tiling = greedy_quasi_tile(target, tiles, eps)
@@ -531,15 +419,13 @@ def _cmd_folner(run: RunConfig) -> int:
     radius = run.get("cradius", 1)
     if shape == "ball":
         C = ball(group, radius)
-    elif scheme.name == "boxes":
-        C = Boxes(group).set_at(radius)
-    elif scheme.name == "boxz2":
-        C = BoxTimesZ2(group).set_at(radius)
+    elif scheme.name in ("boxes", "boxz2"):
+        C = scheme.set_at(radius)
     else:
         raise CliError("--cshape box needs a box scheme")
     lines = ["n,folner_size,boundary_size,ratio"]
     for n in range(1, n_max + 1):
-        F = folner_set(scheme, n)
+        F = scheme.set_at(n)
         b = len(boundary(F, C))
         lines.append(f"{n},{len(F)},{b},{_fmt_fraction(Fraction(b, len(F)))}")
     _emit(lines, run.get("out"))
@@ -549,13 +435,8 @@ def _cmd_folner(run: RunConfig) -> int:
 def _cmd_validate(run: RunConfig) -> int:
     field = run.field()
     group = run.group()
-    sigma = run.get("sigma", "trivial")
-    rho = run.get("rho", "trivial")
-    if rho != "trivial":
-        raise CliError("only the trivial rho is constructible from the CLI")
-    cocycle = cocycle_from_name(
-        "frobenius" if sigma == "frobenius" else "trivial", field, group
-    )
+    # --rho accepts only "trivial", the one rho constructible here
+    cocycle = cocycle_from_name(run.get("sigma", "trivial"), field, group)
     report = validate_cocycle(
         cocycle, sample_budget=run.get("budget", 2000), seed=run.get("seed", 0)
     )
@@ -569,14 +450,14 @@ def _cmd_validate(run: RunConfig) -> int:
     return EXIT_OK
 
 
-_DISPATCH = {
-    "entropy": _cmd_entropy,
-    "quotient-entropy": _cmd_quotient,
-    "addition-check": _cmd_addition,
-    "zerodiv": _cmd_zerodiv,
-    "tile": _cmd_tile,
-    "folner-ratios": _cmd_folner,
-    "validate-cocycle": _cmd_validate,
+_COMMANDS = {
+    "entropy": (_cmd_entropy, "window ratios of a presentation"),
+    "quotient-entropy": (_cmd_quotient, "quotient window ratios"),
+    "addition-check": (_cmd_addition, "additivity report"),
+    "zerodiv": (_cmd_zerodiv, "zero-divisor scan of a ring element"),
+    "tile": (_cmd_tile, "greedy quasi-tiling of a Folner window"),
+    "folner-ratios": (_cmd_folner, "boundary ratio CSV"),
+    "validate-cocycle": (_cmd_validate, "sampled twist-data checks"),
 }
 
 
@@ -585,7 +466,7 @@ def main(argv=None) -> int:
     ns = parser.parse_args(argv)
     try:
         run = RunConfig(ns)
-        return _DISPATCH[ns.command](run)
+        return _COMMANDS[ns.command][0](run)
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_linalg import Echelon, QuadraticField, RationalField
+from .exact_linalg import Echelon, RationalField
 from .groups import (
     ball,
     FiniteSubset,
@@ -84,15 +84,10 @@ class CrossedElement:
 
     def add(self, other: "CrossedElement") -> "CrossedElement":
         self._require_same_ring(other)
-        F = self.field
         out = dict(self.terms)
         for g, c in other.terms.items():
-            nv = F.add(out.get(g, F.zero), c)
-            if nv:
-                out[g] = nv
-            else:
-                out.pop(g, None)
-        return CrossedElement._raw(F, self.group, out)
+            _add_term(self.field, out, g, c)
+        return CrossedElement._raw(self.field, self.group, out)
 
     def neg(self) -> "CrossedElement":
         F = self.field
@@ -134,28 +129,53 @@ def format_element(x: CrossedElement) -> str:
     )
 
 
+def _add_term(field, acc: dict, key, coeff):
+    """acc[key] += coeff, dropping the entry when the sum is an exact zero."""
+    nv = field.add(acc.get(key, field.zero), coeff)
+    if nv:
+        acc[key] = nv
+    else:
+        acc.pop(key, None)
+
+
+def _parse_terms(field, group, text: str, rank: int | None = None) -> dict:
+    """Sum the " + "-joined terms coeff*(g) of text, dropping exact zeros.
+
+    With a rank every term carries a 1-based coordinate suffix |coord and
+    the keys are free-module labels (g, coord - 1); without, they are g.
+    """
+    out: dict = {}
+    shape = "coeff*(g)" if rank is None else "coeff*(g)|coord"
+    for raw in text.split(" + "):
+        part = raw.strip()
+        body = part
+        if rank is not None:
+            body, bar, coord_str = part.rpartition("|")
+            if not bar:
+                raise ValueError(f"term {part!r} needs a |coord suffix")
+            try:
+                coord = int(coord_str)
+            except ValueError:
+                raise ValueError(f"bad coordinate {coord_str!r} in {part!r}") from None
+            if not (1 <= coord <= rank):
+                raise ValueError(f"coordinate {coord} outside 1..{rank}")
+        if "*(" not in body:
+            raise ValueError(f"bad term {part!r} (expected {shape})")
+        coeff_str, g_body = body.rsplit("*(", 1)
+        coeff = field.parse(coeff_str)
+        g = parse_group_element(group, "(" + g_body)
+        if not coeff:
+            raise ValueError(f"zero coefficient in term {part!r}")
+        _add_term(field, out, g if rank is None else (g, coord - 1), coeff)
+    return out
+
+
 def parse_element(field, group, text: str) -> CrossedElement:
     """Parse the "coeff*(g) + coeff*(g)" format; inverse of format_element."""
     s = text.strip()
     if not s or s == "0":
         return CrossedElement.zero(field, group)
-    terms: dict = {}
-    for raw in s.split(" + "):
-        part = raw.strip()
-        if "*(" not in part:
-            raise ValueError(f"bad term {part!r} (expected coeff*(g))")
-        coeff_str, g_body = part.rsplit("*(", 1)
-        coeff = field.parse(coeff_str)
-        g = parse_group_element(group, "(" + g_body)
-        if not coeff:
-            raise ValueError(f"zero coefficient in term {part!r}")
-        cur = terms.get(g, field.zero)
-        nv = field.add(cur, coeff)
-        if nv:
-            terms[g] = nv
-        else:
-            terms.pop(g, None)
-    return CrossedElement._raw(field, group, terms)
+    return CrossedElement._raw(field, group, _parse_terms(field, group, s))
 
 
 def _abelianized_degree(group, g) -> int:
@@ -170,59 +190,71 @@ def _abelianized_degree(group, g) -> int:
     raise ValueError(f"no Frobenius grading for {group!r}")
 
 
+_BUILTIN_LABELS = ("trivial", "frobenius")
+
+
 class CocycleData:
     """Twist data: an automorphism map sigma (as a Frobenius exponent per
-    group element) and a unit-valued rho on pairs."""
+    group element) and a unit-valued rho on pairs.
+
+    The labels "trivial" and "frobenius" are reserved for the cocycles
+    built by trivial_cocycle and frobenius_cocycle: only the trivial one
+    takes the untwisted fast path (is_plain), and only built-in cocycles
+    compare equal by label; every caller-built cocycle is twisted and
+    equal only to itself.
+    """
 
     __slots__ = ("field", "group", "sigma_exp", "rho", "label", "is_plain")
 
     def __init__(self, field, group, sigma_exp, rho, label="custom"):
+        if label in _BUILTIN_LABELS:
+            raise ValueError(f"cocycle label {label!r} is reserved for {label}_cocycle")
         self.field = field
         self.group = group
         self.sigma_exp = sigma_exp
         self.rho = rho
         self.label = label
-        self.is_plain = label == "trivial"
+        self.is_plain = False
 
     def sigma(self, g, x):
         return self.field.apply_auto(x, self.sigma_exp(g))
 
+    def _key(self):
+        if self.label in _BUILTIN_LABELS:
+            return (self.field, self.group, self.label)
+        return id(self)
+
     def __eq__(self, other):
         if not isinstance(other, CocycleData):
             return NotImplemented
-        if self.label == "custom" or other.label == "custom":
-            return self is other
-        return (
-            self.field == other.field
-            and self.group == other.group
-            and self.label == other.label
-        )
+        return self._key() == other._key()
 
     def __hash__(self):
-        if self.label == "custom":
-            return object.__hash__(self)
-        return hash((self.field, self.group, self.label))
+        return hash(self._key())
 
     def __repr__(self):
         return f"CocycleData({self.field.name}, {self.group.name}, {self.label})"
 
 
-def trivial_cocycle(field, group) -> CocycleData:
+def _builtin_cocycle(field, group, sigma_exp, label) -> CocycleData:
+    """A cocycle with rho identically 1 under a reserved label."""
     one = field.one
-    return CocycleData(field, group, lambda g: 0, lambda g, h: one, label="trivial")
+    c = CocycleData(field, group, sigma_exp, lambda g, h: one)
+    c.label = label
+    c.is_plain = label == "trivial"
+    return c
+
+
+def trivial_cocycle(field, group) -> CocycleData:
+    return _builtin_cocycle(field, group, lambda g: 0, "trivial")
 
 
 def frobenius_cocycle(field, group) -> CocycleData:
     """sigma(g) = Frobenius^deg(g) on GF(p^2), rho identically 1."""
     if field.auto_order != 2:
         raise ValueError("Frobenius twist needs a quadratic field")
-    one = field.one
-    return CocycleData(
-        field,
-        group,
-        lambda g: _abelianized_degree(group, g),
-        lambda g, h: one,
-        label="frobenius",
+    return _builtin_cocycle(
+        field, group, lambda g: _abelianized_degree(group, g), "frobenius"
     )
 
 
@@ -244,7 +276,6 @@ def multiply(x: CrossedElement, y: CrossedElement, c: CocycleData) -> CrossedEle
     group = x.group
     mul_g = group.mul
     fmul = F.mul
-    fadd = F.add
     plain = c.is_plain
     one = F.one
     acc: dict = {}
@@ -256,14 +287,7 @@ def multiply(x: CrossedElement, y: CrossedElement, c: CocycleData) -> CrossedEle
                 u = c.rho(g, h)
                 if u != one:
                     coeff = fmul(coeff, u)
-            coeff = fmul(r, coeff)
-            k = mul_g(g, h)
-            cur = acc.get(k)
-            nv = coeff if cur is None else fadd(cur, coeff)
-            if nv:
-                acc[k] = nv
-            else:
-                del acc[k]
+            _add_term(F, acc, mul_g(g, h), fmul(r, coeff))
     return CrossedElement._raw(F, group, acc)
 
 

@@ -14,6 +14,7 @@ spanning vectors arrive in.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -259,7 +260,7 @@ def field_from_name(name: str):
             raise ValueError(f"bad field name {name!r}") from None
         if _is_prime(n):
             return PrimeField(n)
-        root = int(round(n ** 0.5))
+        root = math.isqrt(n)
         if root * root == n and _is_prime(root):
             return QuadraticField(root)
         raise ValueError(f"unsupported field size {n} (need p or p^2)")
@@ -336,9 +337,6 @@ class Echelon:
         self.rows[piv] = rem
         return piv
 
-    def contains(self, vec: dict) -> bool:
-        return not _reduce(self.rows, self.field, vec)
-
     def rref(self) -> dict:
         """Canonical reduced echelon rows (unique per row space)."""
         final: dict = {}
@@ -369,31 +367,9 @@ class Subspace:
     def dim(self) -> int:
         return len(self.rows)
 
-    def pivots(self):
-        return tuple(sorted(self.rows))
-
-    def column_labels(self):
-        labels = set()
-        for row in self.rows.values():
-            labels.update(row)
-        return tuple(sorted(labels))
-
     def basis_rows(self):
         """Rows sorted by pivot; pivot columns are strictly increasing."""
         return [dict(self.rows[p]) for p in sorted(self.rows)]
-
-    def matrix(self):
-        """(labels, dense rows) rendering of the echelon basis."""
-        labels = self.column_labels()
-        index = {l: i for i, l in enumerate(labels)}
-        zero = self.field.zero
-        dense = []
-        for p in sorted(self.rows):
-            row = [zero] * len(labels)
-            for l, v in self.rows[p].items():
-                row[index[l]] = v
-            dense.append(row)
-        return labels, dense
 
     def contains(self, vec: dict) -> bool:
         return not _reduce(self.rows, self.field, vec)
@@ -420,9 +396,6 @@ class Subspace:
             ech.add(other.rows[piv])
         return Subspace.from_echelon(ech)
 
-    def intersect(self, other: "Subspace") -> "Subspace":
-        return intersect(self, other)
-
 
 def _same_field(U: Subspace, V: Subspace):
     if U.field != V.field:
@@ -444,25 +417,38 @@ def span_dim(field, vectors) -> int:
     return ech.dim
 
 
-def intersect(U: Subspace, V: Subspace) -> Subspace:
-    """U meet V by the Zassenhaus block trick.
+def _zassenhaus(field, rows: dict):
+    """Zassenhaus block echelon for U meet V, U given by echelon rows and
+    V by the vectors fed to the returned meet(v) one at a time.
 
-    Rows (u, u) for U and (v, 0) for V are echelonized over tagged labels
-    with every tag-0 label ordered before every tag-1 label; the rows whose
-    pivot carries tag 1 are supported entirely on the tag-1 block and their
-    untagged images form a basis of the intersection.
+    Rows (u, u) for U are echelonized over tagged labels with every tag-0
+    label ordered before every tag-1 label.  meet(v) inserts the row
+    (v, 0) and returns True exactly when the new pivot carries tag 1, i.e.
+    when v raises dim(U meet V) by one.  The rows whose pivot carries
+    tag 1 are supported entirely on the tag-1 block and their untagged
+    images form a basis of the intersection.
     """
-    _same_field(U, V)
-    ech = Echelon(U.field)
-    for piv in sorted(U.rows, reverse=True):
-        row = U.rows[piv]
+    ech = Echelon(field)
+    for piv in sorted(rows, reverse=True):
         tagged = {}
-        for l, v in row.items():
+        for l, v in rows[piv].items():
             tagged[(0, l)] = v
             tagged[(1, l)] = v
         ech.add(tagged)
+
+    def meet(vec: dict) -> bool:
+        piv = ech.add({(0, l): v for l, v in vec.items()})
+        return piv is not None and piv[0] == 1
+
+    return ech, meet
+
+
+def intersect(U: Subspace, V: Subspace) -> Subspace:
+    """U meet V by the Zassenhaus block trick."""
+    _same_field(U, V)
+    ech, meet = _zassenhaus(U.field, U.rows)
     for piv in sorted(V.rows, reverse=True):
-        ech.add({(0, l): v for l, v in V.rows[piv].items()})
+        meet(V.rows[piv])
     inter = Echelon(U.field)
     for piv, row in ech.rows.items():
         if piv[0] == 1:
@@ -480,7 +466,3 @@ def quotient_dim(U: Subspace, W: Subspace) -> int:
         ech.add(U.rows[piv])
     return ech.dim - W.dim
 
-
-def membership(vec: dict, U: Subspace) -> bool:
-    """True iff the sparse vector lies in U (the zero vector always does)."""
-    return not _reduce(U.rows, U.field, vec)

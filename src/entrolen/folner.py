@@ -137,10 +137,6 @@ def scheme_from_name(name: str, group):
     raise ValueError(f"unknown scheme {name!r} (expected boxes, boxz2 or balls)")
 
 
-def folner_set(scheme, n: int) -> FiniteSubset:
-    return scheme.set_at(n)
-
-
 def boundary_ratio(scheme, C: FiniteSubset, n: int) -> Fraction:
     """|boundary_C(F_n)| / |F_n| as an exact reduced fraction."""
     F_n = scheme.set_at(n)

@@ -8,7 +8,6 @@ deterministic scans and column ordering downstream.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 
@@ -280,10 +279,6 @@ def set_product(A: FiniteSubset, B: FiniteSubset) -> FiniteSubset:
     return FiniteSubset._raw(
         A.group, frozenset(mul(a, b) for a in A.elements for b in B.elements)
     )
-
-
-def set_inverse(A: FiniteSubset) -> FiniteSubset:
-    return A.inverse()
 
 
 def ball(group, r: int) -> FiniteSubset:

@@ -14,12 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .crossed_product import (
+    _add_term,
     act,
     cocycle_from_name,
     CocycleData,
     CrossedElement,
 )
-from .exact_linalg import Echelon, field_from_name, span, Subspace
+from .exact_linalg import _zassenhaus, Echelon, field_from_name, span, Subspace
 from .groups import (
     ball,
     FiniteSubset,
@@ -139,17 +140,9 @@ def trajectory_echelon(p: SubshiftPresentation, F: FiniteSubset) -> Echelon:
     return ech
 
 
-@dataclass(frozen=True)
-class TrajectoryResult:
-    window: FiniteSubset
-    subspace: Subspace
-    dim: int
-
-
-def trajectory(p: SubshiftPresentation, F: FiniteSubset) -> TrajectoryResult:
-    """Exact dimension and canonical basis of the F-window trajectory."""
-    ech = trajectory_echelon(p, F)
-    return TrajectoryResult(F, Subspace.from_echelon(ech), ech.dim)
+def trajectory(p: SubshiftPresentation, F: FiniteSubset) -> Subspace:
+    """The F-window trajectory with its canonical basis."""
+    return Subspace.from_echelon(trajectory_echelon(p, F))
 
 
 def trajectory_dim(p: SubshiftPresentation, F: FiniteSubset) -> int:
@@ -164,13 +157,6 @@ class SesDims:
     dim_total: int
     dim_intersection: int
     dim_image: int
-    stabilized: bool
-    steps: int
-
-
-@dataclass(frozen=True)
-class QuotientDimResult:
-    dim: int
     stabilized: bool
     steps: int
 
@@ -201,14 +187,7 @@ def _quotient_split(
     if not N.generators:
         return SesDims(dim_total, 0, dim_total, True, 0)
 
-    zass = Echelon(fld)
-    for piv in sorted(ech_T.rows, reverse=True):
-        row = ech_T.rows[piv]
-        tagged = {}
-        for l, v in row.items():
-            tagged[(0, l)] = v
-            tagged[(1, l)] = v
-        zass.add(tagged)
+    _, meet = _zassenhaus(fld, ech_T.rows)
     ech_N = Echelon(fld)
 
     cap = 0
@@ -218,8 +197,7 @@ def _quotient_split(
         for g in reversed(sorted(batch)):
             for w in N.generators:
                 vec = act(g, w, c)
-                piv = zass.add({(0, l): v for l, v in vec.items()})
-                if piv is not None and piv[0] == 1:
+                if meet(vec):
                     cap += 1
                 ech_N.add(vec)
 
@@ -270,18 +248,6 @@ def ses_dims(
     the budget runs out before stabilization the intersection is a lower
     bound, the image an upper bound, and stabilized is False."""
     return _quotient_split(M, N, F, approx or DEFAULT_STABILIZATION)
-
-
-def trajectory_dim_quotient(
-    M: SubshiftPresentation,
-    N: SubshiftPresentation,
-    F: FiniteSubset,
-    approx: StabilizationConfig | None = None,
-) -> QuotientDimResult:
-    """Dimension of the F-window trajectory taken in the quotient by the
-    submodule presented by N (an upper bound until stabilization)."""
-    s = _quotient_split(M, N, F, approx or DEFAULT_STABILIZATION)
-    return QuotientDimResult(s.dim_image, s.stabilized, s.steps)
 
 
 class PresentationError(ValueError):
@@ -398,13 +364,8 @@ def parse_presentation_text(text: str) -> SubshiftPresentation:
                 raise PresentationError(
                     lineno, pos, f"coordinate {coord} outside 1..{rank}"
                 )
-            key = (g, coord - 1)
             # duplicate keys: coefficients are summed, exact zeros dropped
-            nv = fld.add(vec.get(key, fld.zero), coeff)
-            if nv:
-                vec[key] = nv
-            else:
-                vec.pop(key, None)
+            _add_term(fld, vec, (g, coord - 1), coeff)
             col = pos
         if not vec:
             raise PresentationError(

@@ -16,6 +16,15 @@ from math import floor
 from .groups import FiniteSubset, set_product, translate
 
 
+def _tiling_eps(eps) -> Fraction:
+    """The tiling tolerance as a Fraction; every tiling routine, and the
+    tile-ratio bound, takes eps in (0, 1/4]."""
+    eps = Fraction(eps)
+    if not (0 < eps <= Fraction(1, 4)):
+        raise ValueError("eps must lie in (0, 1/4]")
+    return eps
+
+
 @dataclass(frozen=True)
 class QuasiTiling:
     """Tiles A_1..A_k with center sets C_1..C_k inside some target set."""
@@ -27,8 +36,7 @@ class QuasiTiling:
     def __post_init__(self):
         if len(self.tiles) != len(self.centers):
             raise ValueError("need one center set per tile")
-        if not (0 < self.epsilon < 1):
-            raise ValueError("epsilon must lie in (0, 1)")
+        _tiling_eps(self.epsilon)
 
 
 @dataclass(frozen=True)
@@ -220,9 +228,7 @@ def greedy_quasi_tile(A: FiniteSubset, tiles, eps) -> QuasiTiling:
     (1 - eps)-cover of A; on success the output provably passes
     check_quasi_tiling.
     """
-    eps = Fraction(eps)
-    if not (0 < eps <= Fraction(1, 4)):
-        raise ValueError("eps must lie in (0, 1/4]")
+    eps = _tiling_eps(eps)
     tiles = list(tiles)
     if not tiles:
         raise ValueError("need at least one tile")
@@ -327,9 +333,7 @@ def net_density(net: Net, scheme, n: int) -> Fraction:
 
 def ow_upper_bound(M, eps, tile_ratios) -> Fraction:
     """M*eps + max(tile ratios)/(1 - eps), in exact rational arithmetic."""
-    eps = Fraction(eps)
-    if not (0 < eps < Fraction(1, 4)):
-        raise ValueError("eps must lie in (0, 1/4)")
+    eps = _tiling_eps(eps)
     ratios = [Fraction(r) for r in tile_ratios]
     if not ratios:
         raise ValueError("need at least one tile ratio")

@@ -337,3 +337,53 @@ def test_zero_submodule_spelled_as_zero(capsys):
     assert "e_sub=0/1" in out
     assert "discrepancy=0/1" in out
     assert "pass=true" in out
+
+
+def test_certification_accepts_eps_one_quarter(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        "entropy",
+        "--group", "Heisenberg",
+        "--field", "gf2",
+        "--rank", "1",
+        "--gen", "1*(0,0,0)|1",
+        "--nmax", "2",
+        "--certify-eps", "1/4",
+        "--tiles", "1",
+        "--ncheck", "4",
+    )
+    assert code == 0
+    assert out.startswith("n,folner_size,trajectory_dim,ratio\n")
+    assert "certified_upper=19/12" in out.splitlines()
+
+
+def test_oversized_field_name_exit_2(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "entropy",
+        "--group", "Z",
+        "--field", "gf" + "9" * 400,
+        "--rank", "1",
+        "--gen", "1*(0)|1",
+        "--nmax", "1",
+    )
+    assert code == 2
+    assert out == ""
+    assert "unsupported field size" in err
+
+
+def test_config_values_obey_flag_choices(tmp_path, capsys):
+    # argparse rejects the flag value itself
+    with pytest.raises(SystemExit) as exc:
+        main(["validate-cocycle", "--field", "gf4", "--group", "Z", "--sigma", "frobenious"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("field=gf4\ngroup=Z\nsigma=frobenious\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "validate-cocycle", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert f"{cfg}:3:" in err and "sigma" in err
+    cfg.write_text("field=gf4\ngroup=Z\nsigma=frobenius\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, "validate-cocycle", "--config", str(cfg))
+    assert code == 0
+    assert out.splitlines()[0] == "result=pass"

@@ -94,6 +94,24 @@ def test_validate_mutated_rho_fails_with_witness():
     assert "(1)" in report.failure
 
 
+def test_builtin_cocycle_labels_cannot_be_forged():
+    frob = frobenius_cocycle(GF4, Z)
+    for label in ("trivial", "frobenius"):
+        with pytest.raises(ValueError):
+            CocycleData(GF4, Z, frob.sigma_exp, frob.rho, label=label)
+    # any other caller-built cocycle takes the twisted path
+    mine = CocycleData(GF4, Z, frob.sigma_exp, frob.rho, label="mine")
+    assert not mine.is_plain
+    x = parse_element(GF4, Z, "1*(1)")
+    y = CrossedElement.monomial(GF4, Z, (0,), W)
+    assert multiply(x, y, mine) == multiply(x, y, frob)
+    assert format_element(multiply(x, y, mine)) == "1+1*w*(1)"
+    # and equals only itself, whatever its label
+    assert mine == mine and mine != frob
+    assert mine != CocycleData(GF4, Z, frob.sigma_exp, frob.rho, label="mine")
+    assert trivial_cocycle(GF4, Z) == trivial_cocycle(GF4, Z)
+
+
 def test_frobenius_needs_quadratic_field():
     with pytest.raises(ValueError):
         frobenius_cocycle(GF3, Z)

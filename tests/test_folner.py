@@ -10,7 +10,6 @@ from entrolen.folner import (
     BoxTimesZ2,
     default_scheme,
     exterior,
-    folner_set,
     interior,
     verify_exhaustion,
     WordBalls,
@@ -178,4 +177,4 @@ def test_default_schemes():
 def test_folner_sets_contain_identity():
     for scheme in (Boxes(Z), Boxes(Z2), BoxTimesZ2(ZCrossZ2()), WordBalls(Heisenberg())):
         for n in range(4):
-            assert scheme.group.identity in folner_set(scheme, n)
+            assert scheme.group.identity in scheme.set_at(n)

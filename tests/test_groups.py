@@ -9,7 +9,6 @@ from entrolen.groups import (
     group_from_name,
     Heisenberg,
     parse_group_element,
-    set_inverse,
     set_product,
     translate,
     ZCrossZ2,
@@ -112,7 +111,7 @@ def test_set_product():
     A = FiniteSubset(Z, [(0,), (1,)])
     B = FiniteSubset(Z, [(10,), (20,)])
     assert set(set_product(A, B).elements) == {(10,), (11,), (20,), (21,)}
-    assert set(set_inverse(B).elements) == {(-10,), (-20,)}
+    assert set(B.inverse().elements) == {(-10,), (-20,)}
 
 
 def test_mixed_groups_rejected():

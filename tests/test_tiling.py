@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from entrolen.folner import Boxes
-from entrolen.groups import FiniteSubset, FreeAbelian, set_inverse, set_product
+from entrolen.groups import FiniteSubset, FreeAbelian, set_product
 from entrolen.tiling import (
     build_net,
     check_alpha_cover,
@@ -187,7 +187,7 @@ def test_build_net_coverage_failure_reported():
 @given(st.sets(st.integers(-3, 3), min_size=1, max_size=4))
 def test_net_with_difference_set_covers(e_elems):
     E = zset(*e_elems)
-    F = set_product(E, set_inverse(E))
+    F = set_product(E, E.inverse())
     net = build_net(E, F, zrange(-15, 15))
     assert net.covered
     # translates of E from net points are pairwise disjoint
@@ -200,7 +200,7 @@ def test_net_with_difference_set_covers(e_elems):
 
 def test_net_density_values():
     E = zset(0, 1)
-    F = set_product(E, set_inverse(E))
+    F = set_product(E, E.inverse())
     net = build_net(E, F, zrange(-20, 20))
     sch = Boxes(Z)
     assert net_density(net, sch, 10) == Fraction(11, 21)
