@@ -320,8 +320,8 @@ def act(g, vec: dict, c: CocycleData) -> dict:
 def _sample_coefficients(field):
     if isinstance(field, RationalField):
         return [Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(2, 3), Fraction(-7, 5)]
-    elems = list(field.elements())
-    return elems if len(elems) <= 9 else elems[:6] + elems[-3:]
+    elems = field.elements()  # a range; len() overflows on huge fields, slices do not
+    return list(elems[:6]) + list(elems[-3:]) if elems[9:] else list(elems)
 
 
 @dataclass(frozen=True)

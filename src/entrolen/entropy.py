@@ -13,12 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .crossed_product import CrossedElement, find_annihilator
-from .exact_linalg import intersect, Subspace
 from .shift_modules import (
     _quotient_split,
     bernoulli,
     cyclic_presentation,
-    DEFAULT_STABILIZATION,
     StabilizationConfig,
     SubshiftPresentation,
     trajectory_echelon,
@@ -44,14 +42,7 @@ class RatioRow:
 class EntropyEstimate:
     rows: tuple
     estimate: Fraction
-    certified_upper: Fraction | None = None
     all_stabilized: bool = True
-
-    def ratio_at(self, n: int) -> Fraction:
-        for row in self.rows:
-            if row.n == n:
-                return row.ratio
-        raise KeyError(f"no window n={n}")
 
 
 def _check_scheme(p: SubshiftPresentation, scheme):
@@ -59,17 +50,41 @@ def _check_scheme(p: SubshiftPresentation, scheme):
         raise ValueError("scheme group does not match the presentation")
 
 
-def estimate(p: SubshiftPresentation, scheme, n_max: int) -> EntropyEstimate:
-    """Exact ratios dim T_{F_n} / |F_n| for n = 1..n_max."""
+def _windows(p: SubshiftPresentation, scheme, n_max: int):
+    """The windows (n, F_n), n = 1..n_max, after checking the arguments."""
     _check_scheme(p, scheme)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    rows = []
-    for n in range(1, n_max + 1):
-        F = scheme.set_at(n)
-        dim = trajectory_echelon(p, F).dim
-        rows.append(RatioRow(n, len(F), dim, Fraction(dim, len(F))))
-    return EntropyEstimate(tuple(rows), rows[-1].ratio)
+    return ((n, scheme.set_at(n)) for n in range(1, n_max + 1))
+
+
+def _estimate(dims, all_stabilized: bool = True) -> EntropyEstimate:
+    """The estimate of (n, |F_n|, dim) triples, headed by the last ratio."""
+    rows = tuple(RatioRow(n, size, dim, Fraction(dim, size)) for n, size, dim in dims)
+    return EntropyEstimate(rows, rows[-1].ratio, all_stabilized)
+
+
+def estimate(p: SubshiftPresentation, scheme, n_max: int) -> EntropyEstimate:
+    """Exact ratios dim T_{F_n} / |F_n| for n = 1..n_max."""
+    return _estimate(
+        (n, len(F), trajectory_echelon(p, F).dim)
+        for n, F in _windows(p, scheme, n_max)
+    )
+
+
+def _splits(M, N, scheme, n_max, approx) -> list:
+    """(n, |F_n|, SesDims) for every window of the quotient of M by N."""
+    return [
+        (n, len(F), _quotient_split(M, N, F, approx))
+        for n, F in _windows(M, scheme, n_max)
+    ]
+
+
+def _quotient_estimate(splits) -> EntropyEstimate:
+    return _estimate(
+        ((n, size, s.dim_image) for n, size, s in splits),
+        all(s.stabilized for _, _, s in splits),
+    )
 
 
 def estimate_quotient(
@@ -84,18 +99,7 @@ def estimate_quotient(
     Until stabilization each quotient dimension is an upper bound; the
     all_stabilized flag records whether any window ran out of budget.
     """
-    _check_scheme(M, scheme)
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    approx = approx or DEFAULT_STABILIZATION
-    rows = []
-    ok = True
-    for n in range(1, n_max + 1):
-        F = scheme.set_at(n)
-        s = _quotient_split(M, N, F, approx)
-        ok = ok and s.stabilized
-        rows.append(RatioRow(n, len(F), s.dim_image, Fraction(s.dim_image, len(F))))
-    return EntropyEstimate(tuple(rows), rows[-1].ratio, all_stabilized=ok)
+    return _quotient_estimate(_splits(M, N, scheme, n_max, approx))
 
 
 @dataclass(frozen=True)
@@ -170,7 +174,6 @@ class AdditionReport:
     e_quotient: Fraction
     discrepancy: Fraction
     tolerance: Fraction
-    within_tolerance: bool
     lower_bound_ok_all: bool
     all_stabilized: bool
     passed: bool
@@ -195,33 +198,20 @@ def addition_check(
     The exact splitting dim_total = dim_intersection + dim_image needs no
     check here: _quotient_split raises when it fails.
     """
-    _check_scheme(M, scheme)
     tol = Fraction(tol)
-    approx = approx or DEFAULT_STABILIZATION
     coeff_M = M.coefficient_span()
     gens_inside = all(coeff_M.contains(w) for w in N.generators)
     windows = []
-    for n in range(1, n_max + 1):
-        F = scheme.set_at(n)
-        ech_T = trajectory_echelon(M, F)
-        s = _quotient_split(M, N, F, approx, traj_ech=ech_T)
-        ech_sub = trajectory_echelon(N, F) if N.generators else None
-        dim_sub = ech_sub.dim if ech_sub is not None else 0
-        if ech_sub is not None:
-            U = Subspace.from_echelon(ech_T)
-            V = Subspace.from_echelon(ech_sub)
-            cap_tn = intersect(U, V).dim
-        else:
-            cap_tn = 0
-        lower_bound_ok = s.dim_total >= cap_tn + s.dim_image
+    for n, size, s in _splits(M, N, scheme, n_max, approx):
+        lower_bound_ok = s.dim_total >= s.dim_window_meet + s.dim_image
         if gens_inside:
-            lower_bound_ok = lower_bound_ok and s.dim_total >= dim_sub + s.dim_image
+            lower_bound_ok = lower_bound_ok and s.dim_total >= s.dim_sub + s.dim_image
         windows.append(
             AdditionWindow(
                 n,
-                len(F),
+                size,
                 s.dim_total,
-                dim_sub,
+                s.dim_sub,
                 s.dim_intersection,
                 s.dim_image,
                 lower_bound_ok,
@@ -233,9 +223,6 @@ def addition_check(
     e_sub = Fraction(last.dim_sub, last.folner_size)
     e_quotient = Fraction(last.dim_image, last.folner_size)
     discrepancy = e_total - e_sub - e_quotient
-    within = abs(discrepancy) <= tol
-    lower_all = all(w.lower_bound_ok for w in windows)
-    stab_all = all(w.stabilized for w in windows)
     return AdditionReport(
         tuple(windows),
         e_total,
@@ -243,10 +230,9 @@ def addition_check(
         e_quotient,
         discrepancy,
         tol,
-        within,
-        lower_all,
-        stab_all,
-        within,
+        all(w.lower_bound_ok for w in windows),
+        all(w.stabilized for w in windows),
+        abs(discrepancy) <= tol,
     )
 
 
@@ -291,9 +277,9 @@ def zero_divisor_scan(
     if x.is_zero():
         raise ValueError("x must be nonzero")
     sub = cyclic_presentation(cocycle, x)
-    ambient = bernoulli(cocycle, 1)
-    est_sub = estimate(sub, scheme, n_max)
-    est_quot = estimate_quotient(ambient, sub, scheme, n_max, approx)
+    splits = _splits(bernoulli(cocycle, 1), sub, scheme, n_max, approx)
+    est_sub = _estimate((n, size, s.dim_sub) for n, size, s in splits)
+    est_quot = _quotient_estimate(splits)
     witness = find_annihilator(x, cocycle, window_radius)
     verdict = "zero-divisor" if witness is not None else "no evidence up to budget"
     return ZeroDivisorReport(

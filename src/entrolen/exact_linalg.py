@@ -21,14 +21,32 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
 
+# Strong-probable-prime tests to the first 13 prime bases decide primality
+# exactly below this bound (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    """Deterministic Miller-Rabin; n at or above _MR_BOUND cannot be
+    decided and raises ValueError instead of being called composite."""
+    if n >= _MR_BOUND:
+        raise ValueError(f"unsupported field size: cannot decide whether {n} is prime")
+    if n < 2 or n in _MR_BASES:
+        return n >= 2
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
             return False
-        d += 1
     return True
 
 
@@ -89,9 +107,12 @@ class PrimeField:
 
 def _quadratic_modulus(p: int) -> tuple[int, int]:
     """Lexicographically smallest (a, b) with x^2+ax+b irreducible over GF(p)."""
+    if p == 2:
+        return 1, 1  # x^2 + x + 1, the only irreducible quadratic over GF(2)
     for a in range(p):
         for b in range(p):
-            if all((t * t + a * t + b) % p for t in range(p)):
+            # irreducible iff a^2 - 4b is a non-residue (Euler's criterion)
+            if pow(a * a - 4 * b, (p - 1) // 2, p) == p - 1:
                 return a, b
     raise ValueError(f"no irreducible quadratic over GF({p})")
 
@@ -118,7 +139,6 @@ class QuadraticField:
         a, b = _quadratic_modulus(self.p)
         object.__setattr__(self, "_mod_a", a)
         object.__setattr__(self, "_mod_b", b)
-        object.__setattr__(self, "_frob", None)
 
     @property
     def name(self) -> str:
@@ -167,18 +187,9 @@ class QuadraticField:
         return c + d * p
 
     def frobenius(self, x):
-        cache = self._frob
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_frob", cache)
-        y = cache.get(x)
-        if y is None:
-            # x^p by repeated multiplication; p is tiny in practice
-            y = x
-            for _ in range(self.p - 1):
-                y = self.mul(y, x)
-            cache[x] = y
-        return y
+        # x^p = c0 + c1 * w^p, and w^p is the conjugate root -a - w
+        c0, c1 = x % self.p, x // self.p
+        return self.make(c0 - self._mod_a * c1, -c1)
 
     def apply_auto(self, x, power):
         return self.frobenius(x) if power % 2 else x
@@ -258,11 +269,11 @@ def field_from_name(name: str):
             n = int(key[2:])
         except ValueError:
             raise ValueError(f"bad field name {name!r}") from None
-        if _is_prime(n):
-            return PrimeField(n)
         root = math.isqrt(n)
         if root * root == n and _is_prime(root):
             return QuadraticField(root)
+        if root * root != n and _is_prime(n):
+            return PrimeField(n)
         raise ValueError(f"unsupported field size {n} (need p or p^2)")
     raise ValueError(f"unknown field {name!r}")
 

@@ -152,26 +152,34 @@ def trajectory_dim(p: SubshiftPresentation, F: FiniteSubset) -> int:
 @dataclass(frozen=True)
 class SesDims:
     """Window dimensions of the exact sequence
-    0 -> (T meet N) -> T -> image in the quotient -> 0."""
+    0 -> (T meet N) -> T -> image in the quotient -> 0, with dim_sub =
+    dim T_F(N) and dim_window_meet = dim(T meet T_F(N)) for T = T_F(M)."""
 
     dim_total: int
     dim_intersection: int
     dim_image: int
     stabilized: bool
     steps: int
+    dim_sub: int
+    dim_window_meet: int
 
 
 def _quotient_split(
     M: SubshiftPresentation,
     N: SubshiftPresentation,
     F: FiniteSubset,
-    approx: StabilizationConfig,
-    traj_ech: Echelon | None = None,
+    approx: StabilizationConfig | None = None,
 ) -> SesDims:
-    """Split the F-window trajectory of M along the submodule presented
+    """Exact window dimensions (total, intersection, image); the identity
+    dim_total = dim_intersection + dim_image holds in every output.  When
+    the budget runs out before stabilization the intersection is a lower
+    bound, the image an upper bound, and stabilized is False.
+
+    The F-window trajectory of M is split along the submodule presented
     by N, approximating N by trajectories over growing windows
     E_m = ball(m) * F until the intersection dimension is unchanged for
-    approx.stability_window consecutive steps.
+    approx.stability_window consecutive steps; E_0 = F gives dim_sub and
+    dim_window_meet.
 
     The intersection dimension comes from a tagged (Zassenhaus) echelon
     and the image dimension from reduction modulo the submodule window;
@@ -179,13 +187,14 @@ def _quotient_split(
     which is asserted.
     """
     _check_same_ambient(M, N)
+    approx = approx or DEFAULT_STABILIZATION
     c = M.cocycle
     fld = M.field
-    ech_T = traj_ech if traj_ech is not None else trajectory_echelon(M, F)
+    ech_T = trajectory_echelon(M, F)
     dim_total = ech_T.dim
 
     if not N.generators:
-        return SesDims(dim_total, 0, dim_total, True, 0)
+        return SesDims(dim_total, 0, dim_total, True, 0, 0, 0)
 
     _, meet = _zassenhaus(fld, ech_T.rows)
     ech_N = Echelon(fld)
@@ -204,6 +213,7 @@ def _quotient_split(
     S1 = ball(M.group, 1)
     window = F
     add_batch(window.elements)
+    window_dims = (ech_N.dim, cap)  # dim_sub, dim_window_meet
     prev_cap = cap
     streak = 0
     steps = 0
@@ -234,20 +244,10 @@ def _quotient_split(
             "internal inconsistency: "
             f"{dim_total} != {cap} + {dim_image}"
         )
-    return SesDims(dim_total, cap, dim_image, stabilized, steps)
+    return SesDims(dim_total, cap, dim_image, stabilized, steps, *window_dims)
 
 
-def ses_dims(
-    M: SubshiftPresentation,
-    N: SubshiftPresentation,
-    F: FiniteSubset,
-    approx: StabilizationConfig | None = None,
-) -> SesDims:
-    """Exact window dimensions (total, intersection, image); the identity
-    dim_total = dim_intersection + dim_image holds in every output.  When
-    the budget runs out before stabilization the intersection is a lower
-    bound, the image an upper bound, and stabilized is False."""
-    return _quotient_split(M, N, F, approx or DEFAULT_STABILIZATION)
+ses_dims = _quotient_split
 
 
 class PresentationError(ValueError):

@@ -53,34 +53,42 @@ def _quota(size: int, eps: Fraction) -> int:
 def _match_quotas(families: list, quotas: list) -> list | None:
     """Reserve quotas[i] exclusive elements for set i, or None if impossible.
 
-    Bipartite matching (Kuhn augmenting paths) with one slot per required
-    element; exact, so the eps-disjointness decision is never a false
-    negative.
+    One augmenting path per claimed element; a claim that finds none
+    proves the quotas unreachable, so the decision is exact and the
+    eps-disjointness decision is never a false negative.
     """
-    slot_owner_set = []
-    for i, q in enumerate(quotas):
-        slot_owner_set.extend([i] * q)
     owner: dict = {}
-
-    def try_slot(s, seen):
-        i = slot_owner_set[s]
-        for x in families[i]:
-            if x in seen:
-                continue
-            seen.add(x)
-            t = owner.get(x)
-            if t is None or try_slot(t, seen):
-                owner[x] = s
-                return True
-        return False
-
-    for s in range(len(slot_owner_set)):
-        if not try_slot(s, set()):
+    for i, q in enumerate(quotas):
+        if not all(_augment(families, owner, i) for _ in range(q)):
             return None
     claimed = [set() for _ in families]
-    for x, s in owner.items():
-        claimed[slot_owner_set[s]].add(x)
+    for x, i in owner.items():
+        claimed[i].add(x)
     return claimed
+
+
+def _augment(families: list, owner: dict, root: int) -> bool:
+    """Give set root one more element along an augmenting path, searched
+    depth first with an explicit stack; frame k holds a set, its unscanned
+    elements and the element it gives up to the set of frame k - 1."""
+    stack = [(root, iter(families[root]), None)]
+    entered = {root}
+    while stack:
+        i, scan, _ = stack[-1]
+        for x in scan:
+            j = owner.get(x)
+            if j is None:
+                owner[x] = i
+                for (taker, _, _), (_, _, given) in zip(stack, stack[1:]):
+                    owner[given] = taker
+                return True
+            if j not in entered:
+                entered.add(j)
+                stack.append((j, iter(families[j]), x))
+                break
+        else:
+            stack.pop()
+    return False
 
 
 def check_epsilon_disjoint(family, eps) -> DisjointnessCheck:

@@ -1,4 +1,5 @@
 import os
+import time
 
 import pytest
 
@@ -387,3 +388,78 @@ def test_config_values_obey_flag_choices(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "validate-cocycle", "--config", str(cfg))
     assert code == 0
     assert out.splitlines()[0] == "result=pass"
+
+
+@pytest.mark.parametrize(
+    "command,key",
+    [
+        ("tile", "field"),
+        ("folner-ratios", "field"),
+        ("tile", "cocycle"),
+        ("folner-ratios", "cocycle"),
+        ("validate-cocycle", "cocycle"),
+        ("validate-cocycle", "scheme"),
+        ("entropy", "seed"),
+        ("quotient-entropy", "seed"),
+        ("addition-check", "seed"),
+        ("zerodiv", "seed"),
+        ("tile", "seed"),
+        ("folner-ratios", "seed"),
+    ],
+)
+def test_flags_a_command_never_reads_are_rejected(tmp_path, capsys, command, key):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--" + key, "1"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}=1\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, command, "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert "unknown key" in err
+
+
+def test_env_seed_ignored_by_commands_without_seed(capsys, monkeypatch):
+    monkeypatch.setenv("ENTROLEN_SEED", "not-a-number")
+    code, out, _ = run_cli(capsys, "folner-ratios", "--group", "Z", "--nmax", "2")
+    assert code == 0
+    assert out.splitlines()[2] == "2,5,4,4/5"
+
+
+def test_addition_check_nmax_zero_exit_2(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "addition-check",
+        "--group", "Z",
+        "--field", "gf2",
+        "--rank", "1",
+        "--gen", "1*(0)|1",
+        "--ngen", "0",
+        "--nmax", "0",
+    )
+    assert code == 2
+    assert out == ""
+    assert "error: n_max must be >= 1" in err
+
+
+P61 = 2**61 - 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["entropy", "--field", f"gf{P61}",
+         "--rank", "1", "--gen", "1*(0)|1", "--nmax", "2"],
+        ["entropy", "--field", f"gf{P61 * P61}", "--cocycle", "frobenius",
+         "--rank", "1", "--gen", "1*(0)|1", "--nmax", "2"],
+        ["validate-cocycle", "--field", f"gf{P61}"],
+        ["validate-cocycle", "--field", f"gf{P61 * P61}", "--sigma", "frobenius"],
+    ],
+    ids=["entropy-p", "entropy-p2", "validate-p", "validate-p2"],
+)
+def test_large_fields_are_built_quickly(capsys, args):
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, args[0], "--group", "Z", *args[1:])
+    assert code == 0
+    assert out.splitlines()[-1] in ("2,5,5,1/1", "associativity_samples=12")
+    assert time.perf_counter() - start < 5

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -6,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from entrolen.exact_linalg import (
+    _is_prime,
+    _quadratic_modulus,
     Echelon,
     field_from_name,
     intersect,
@@ -79,6 +82,45 @@ def test_frobenius(field):
     assert field.apply_auto(field.make(0, 1), 2) == field.make(0, 1)
 
 
+@pytest.mark.parametrize("field", [GF4, GF9, QuadraticField(5)], ids=lambda f: f.name)
+def test_frobenius_is_pth_power(field):
+    for x in field.elements():
+        power = x
+        for _ in range(field.p - 1):
+            power = field.mul(power, x)
+        assert field.frobenius(x) == power
+
+
+def _trial_division_prime(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_is_exact_below_its_bound():
+    assert [n for n in range(5000) if _is_prime(n)] == [
+        n for n in range(5000) if _trial_division_prime(n)
+    ]
+    # Carmichael numbers, and the least strong pseudoprimes to the first
+    # 1, 2, 4, 7, 9 and 12 prime bases
+    for n in (561, 1105, 2047, 1373653, 3215031751, 341550071728321,
+              3825123056546413051, 318665857834031151167461):
+        assert not _is_prime(n)
+    assert _is_prime(2**61 - 1)
+    assert _is_prime(2**31 - 1)
+    with pytest.raises(ValueError, match="unsupported field size"):
+        _is_prime(2**89 - 1)  # prime, but above the proven bound
+
+
+def test_quadratic_modulus_matches_root_search():
+    for p in (n for n in range(2, 120) if _trial_division_prime(n)):
+        first = next(
+            (a, b)
+            for a in range(p)
+            for b in range(p)
+            if all((t * t + a * t + b) % p for t in range(p))
+        )
+        assert _quadratic_modulus(p) == first
+
+
 def test_field_parse_fmt_roundtrip():
     for field in FINITE_FIELDS:
         for x in field.elements():
@@ -96,6 +138,11 @@ def test_field_from_name():
         field_from_name("gf6")
     with pytest.raises(ValueError):
         field_from_name("gf8")  # p^3 unsupported
+    with pytest.raises(ValueError):
+        field_from_name("gf1")
+    big = 2**61 - 1
+    assert field_from_name(f"gf{big}") == PrimeField(big)
+    assert field_from_name(f"gf{big * big}") == QuadraticField(big)
 
 
 def test_span_examples():

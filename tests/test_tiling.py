@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from entrolen.folner import Boxes
 from entrolen.groups import FiniteSubset, FreeAbelian, set_product
 from entrolen.tiling import (
+    _match_quotas,
     build_net,
     check_alpha_cover,
     check_epsilon_disjoint,
@@ -64,6 +66,44 @@ def test_eps_disjoint_needs_matching_fallback():
     assert not (w1.elements & w2.elements)
     assert Fraction(len(w1), len(A)) > Fraction(1, 2)
     assert Fraction(len(w2), len(B)) > Fraction(1, 2)
+
+
+def test_eps_disjoint_matching_deep_augmenting_paths():
+    # the interval takes every singleton's element in the greedy pass; the
+    # exact matching must hand them back without deep recursion
+    positions = random.Random(17).sample(range(2000), 500)
+    family = [zrange(0, 1999)] + [zset(p) for p in positions]
+    res = check_epsilon_disjoint(family, Fraction(1, 2))
+    assert res.ok
+    seen = set()
+    for W, A in zip(res.witnesses, family):
+        assert W.is_subset(A)
+        assert Fraction(len(W), len(A)) > Fraction(1, 2)
+        assert not (W.elements & seen)
+        seen |= W.elements
+
+
+def test_match_quotas_decides_halls_condition():
+    # quotas are reachable exactly when every subfamily's union is at least
+    # as large as its total quota (Hall's theorem with multiplicities)
+    rng = random.Random(23)
+    for _ in range(400):
+        families = [
+            sorted(rng.sample(range(10), rng.randint(1, 10)))
+            for _ in range(rng.randint(1, 5))
+        ]
+        quotas = [rng.randint(0, len(f)) for f in families]
+        hall = all(
+            len(set().union(*(families[i] for i in sub))) >= sum(quotas[i] for i in sub)
+            for r in range(1, len(families) + 1)
+            for sub in itertools.combinations(range(len(families)), r)
+        )
+        claimed = _match_quotas(families, quotas)
+        assert (claimed is not None) == hall
+        if claimed is not None:
+            assert [len(c) for c in claimed] == quotas
+            assert all(c <= set(f) for c, f in zip(claimed, families))
+            assert sum(map(len, claimed)) == len(set().union(*claimed))
 
 
 @settings(max_examples=60)
