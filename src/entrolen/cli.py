@@ -51,8 +51,11 @@ def _fmt_fraction(f: Fraction) -> str:
 def _emit(lines, out_path):
     text = "\n".join(lines) + "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(f"cannot write {out_path}: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -408,6 +411,8 @@ def _cmd_folner(run: RunConfig) -> int:
     group = run.group()
     scheme = run.scheme(group)
     n_max = run.require("nmax")
+    if n_max < 1:
+        raise CliError("n_max must be >= 1")
     shape = run.get("cshape", "box" if scheme.name in ("boxes", "boxz2") else "ball")
     radius = run.get("cradius", 1)
     if shape == "ball":

@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .exact_linalg import Echelon, RationalField
 from .groups import (
@@ -26,6 +27,7 @@ from .groups import (
     FreeAbelian,
     Heisenberg,
     parse_group_element,
+    shells,
     ZCrossZ2,
 )
 
@@ -350,6 +352,8 @@ def validate_cocycle(c: CocycleData, sample_budget: int = 2000, seed: int = 0) -
     budget.  The first violation stops the scan and is reported with its
     witnessing tuple.
     """
+    if sample_budget < 1:
+        raise ValueError("sample_budget must be >= 1")
     F = c.field
     group = c.group
     e = group.identity
@@ -474,10 +478,8 @@ def find_annihilator(x: CrossedElement, c: CocycleData, window_radius: int):
     F = x.field
     group = x.group
     ech = Echelon(F)
-    seen: frozenset = frozenset()
-    for r in range(window_radius + 1):
-        layer = ball(group, r).elements
-        for g in sorted(layer - seen):
+    for shell in islice(shells(group, (group.identity,)), window_radius + 1):
+        for g in sorted(shell):
             gx = multiply(CrossedElement.monomial(F, group, g), x, c)
             row = {(0, h): coeff for h, coeff in gx.terms.items()}
             row[(1, g)] = F.one
@@ -491,7 +493,6 @@ def find_annihilator(x: CrossedElement, c: CocycleData, window_radius: int):
                 if not multiply(y, x, c).is_zero():
                     raise RuntimeError("annihilator candidate failed verification")
                 return y
-        seen = layer
     return None
 
 

@@ -13,13 +13,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .crossed_product import CrossedElement, find_annihilator
+from .exact_linalg import Echelon
 from .shift_modules import (
     _quotient_split,
+    _translates,
     bernoulli,
     cyclic_presentation,
     StabilizationConfig,
     SubshiftPresentation,
-    trajectory_echelon,
 )
 from .tiling import (
     _tiling_eps,
@@ -64,12 +65,23 @@ def _estimate(dims, all_stabilized: bool = True) -> EntropyEstimate:
     return EntropyEstimate(rows, rows[-1].ratio, all_stabilized)
 
 
+def _trajectory_dims(p: SubshiftPresentation, windows):
+    """(n, |F|, dim T_F) for each (n, F), from one echelon grown by each
+    window's new elements (exact: pivots depend only on the row space); a
+    window not containing the previous one restarts from an empty echelon."""
+    ech, prev = Echelon(p.field), frozenset()
+    for n, F in windows:
+        if not prev <= F.elements:
+            ech, prev = Echelon(p.field), frozenset()
+        for vec in _translates(p, F.elements - prev):
+            ech.add(vec)
+        prev = F.elements
+        yield n, len(F), ech.dim
+
+
 def estimate(p: SubshiftPresentation, scheme, n_max: int) -> EntropyEstimate:
     """Exact ratios dim T_{F_n} / |F_n| for n = 1..n_max."""
-    return _estimate(
-        (n, len(F), trajectory_echelon(p, F).dim)
-        for n, F in _windows(p, scheme, n_max)
-    )
+    return _estimate(_trajectory_dims(p, _windows(p, scheme, n_max)))
 
 
 def _splits(M, N, scheme, n_max, approx) -> list:
@@ -146,10 +158,8 @@ def certified_upper_bound(
         if not report.passed:
             raise TilingFailed(f"checker rejected tiling of window {n}: {report}")
     coeff_dim = p.coefficient_span().dim
-    ratios = []
-    for tile in tiles:
-        dim = trajectory_echelon(p, tile).dim
-        ratios.append(Fraction(dim, len(tile)))
+    dims = _trajectory_dims(p, zip(indices, tiles))
+    ratios = [Fraction(dim, size) for _, size, dim in dims]
     bound = ow_upper_bound(coeff_dim, eps, ratios)
     return CertifiedBound(bound, eps, indices, tuple(ratios), checked_from, n_check)
 

@@ -321,9 +321,11 @@ class Echelon:
 
     __slots__ = ("field", "rows")
 
-    def __init__(self, field):
+    def __init__(self, field, vectors=()):
         self.field = field
         self.rows: dict = {}
+        for vec in vectors:
+            self.add(vec)
 
     @property
     def dim(self) -> int:
@@ -400,12 +402,8 @@ class Subspace:
 
     def sum(self, other: "Subspace") -> "Subspace":
         _same_field(self, other)
-        ech = Echelon(self.field)
-        for piv in sorted(self.rows, reverse=True):
-            ech.add(self.rows[piv])
-        for piv in sorted(other.rows, reverse=True):
-            ech.add(other.rows[piv])
-        return Subspace.from_echelon(ech)
+        rows = _descending(self.rows) + _descending(other.rows)
+        return Subspace.from_echelon(Echelon(self.field, rows))
 
 
 def _same_field(U: Subspace, V: Subspace):
@@ -413,19 +411,18 @@ def _same_field(U: Subspace, V: Subspace):
         raise ValueError(f"field mismatch: {U.field.name} vs {V.field.name}")
 
 
+def _descending(rows: dict) -> list:
+    """Echelon rows by descending pivot, the scan order used throughout."""
+    return [rows[piv] for piv in sorted(rows, reverse=True)]
+
+
 def span(field, vectors) -> Subspace:
     """Subspace spanned by sparse vectors (dicts label -> coefficient)."""
-    ech = Echelon(field)
-    for vec in vectors:
-        ech.add(vec)
-    return Subspace.from_echelon(ech)
+    return Subspace.from_echelon(Echelon(field, vectors))
 
 
 def span_dim(field, vectors) -> int:
-    ech = Echelon(field)
-    for vec in vectors:
-        ech.add(vec)
-    return ech.dim
+    return Echelon(field, vectors).dim
 
 
 def _zassenhaus(field, rows: dict):
@@ -439,13 +436,11 @@ def _zassenhaus(field, rows: dict):
     tag 1 are supported entirely on the tag-1 block and their untagged
     images form a basis of the intersection.
     """
-    ech = Echelon(field)
-    for piv in sorted(rows, reverse=True):
-        tagged = {}
-        for l, v in rows[piv].items():
-            tagged[(0, l)] = v
-            tagged[(1, l)] = v
-        ech.add(tagged)
+    tagged = (
+        {(t, l): v for l, v in row.items() for t in (0, 1)}
+        for row in _descending(rows)
+    )
+    ech = Echelon(field, tagged)
 
     def meet(vec: dict) -> bool:
         piv = ech.add({(0, l): v for l, v in vec.items()})
@@ -458,22 +453,18 @@ def intersect(U: Subspace, V: Subspace) -> Subspace:
     """U meet V by the Zassenhaus block trick."""
     _same_field(U, V)
     ech, meet = _zassenhaus(U.field, U.rows)
-    for piv in sorted(V.rows, reverse=True):
-        meet(V.rows[piv])
-    inter = Echelon(U.field)
-    for piv, row in ech.rows.items():
-        if piv[0] == 1:
-            inter.add({l: v for (_, l), v in row.items()})
-    return Subspace.from_echelon(inter)
+    for row in _descending(V.rows):
+        meet(row)
+    tag_1 = (
+        {l: v for (_, l), v in row.items()}
+        for piv, row in ech.rows.items()
+        if piv[0] == 1
+    )
+    return Subspace.from_echelon(Echelon(U.field, tag_1))
 
 
 def quotient_dim(U: Subspace, W: Subspace) -> int:
     """dim((U + W) / W) = dim(U + W) - dim(W)."""
     _same_field(U, W)
-    ech = Echelon(U.field)
-    for piv in sorted(W.rows, reverse=True):
-        ech.add(W.rows[piv])
-    for piv in sorted(U.rows, reverse=True):
-        ech.add(U.rows[piv])
-    return ech.dim - W.dim
+    return Echelon(U.field, _descending(W.rows) + _descending(U.rows)).dim - W.dim
 

@@ -18,6 +18,7 @@ from .groups import (
     FreeAbelian,
     Heisenberg,
     set_product,
+    shells,
     ZCrossZ2,
 )
 
@@ -170,9 +171,9 @@ def verify_exhaustion(scheme, n_max: int) -> ExhaustionReport:
     for n in range(n_max):
         if not sets[n].is_subset(sets[n + 1]):
             return ExhaustionReport(False, n_max, f"F_{n} not contained in F_{n + 1}")
-    top = sets[n_max]
-    for r in range(n_max + 1):
-        if not ball(group, r).is_subset(top):
+    top = sets[n_max].elements
+    for r, shell in zip(range(n_max + 1), shells(group, (group.identity,))):
+        if not shell <= top:
             return ExhaustionReport(
                 False, n_max, f"ball({r}) not covered by any F_m with m <= {n_max}"
             )

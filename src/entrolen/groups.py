@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import islice
 
 
 @dataclass(frozen=True)
@@ -281,6 +282,21 @@ def set_product(A: FiniteSubset, B: FiniteSubset) -> FiniteSubset:
     )
 
 
+def shells(group, start):
+    """Yield start, then each new shell S*W - W of W_0 = start,
+    W_{k+1} = S*W_k, for the generating set S (which contains e); only the
+    last shell is multiplied, as S*W_k - W_k = S*(W_k - W_{k-1}) - W_k.
+    The first r + 1 shells of (e,) make up ball(r), those of F ball(r)*F."""
+    gens = group.generators()
+    mul = group.mul
+    seen = set(start)
+    shell = frozenset(seen)
+    while True:
+        yield shell
+        shell = frozenset({mul(s, g) for g in shell for s in gens} - seen)
+        seen |= shell
+
+
 def ball(group, r: int) -> FiniteSubset:
     """Word ball B_r(S): all products of at most r generators; B_0 = {e}.
 
@@ -289,9 +305,5 @@ def ball(group, r: int) -> FiniteSubset:
     """
     if r < 0:
         raise ValueError("radius must be >= 0")
-    gens = group.generators()
-    cur = {group.identity}
-    mul = group.mul
-    for _ in range(r):
-        cur = {mul(g, s) for g in cur for s in gens}
-    return FiniteSubset._raw(group, frozenset(cur))
+    layers = islice(shells(group, (group.identity,)), r + 1)
+    return FiniteSubset._raw(group, frozenset().union(*layers))

@@ -22,12 +22,11 @@ from .crossed_product import (
 )
 from .exact_linalg import _zassenhaus, Echelon, field_from_name, span, Subspace
 from .groups import (
-    ball,
     FiniteSubset,
     format_group_element,
     group_from_name,
     parse_group_element,
-    set_product,
+    shells,
 )
 
 
@@ -125,19 +124,20 @@ def _check_same_ambient(M: SubshiftPresentation, N: SubshiftPresentation):
         raise ValueError("presentations must share the ambient free module")
 
 
+def _translates(p: SubshiftPresentation, elements):
+    """act(g, v) for g in elements, descending, and v a generator; the
+    descending scan keeps fill-in low for shift-structured inputs."""
+    c = p.cocycle
+    for g in sorted(elements, reverse=True):
+        for v in p.generators:
+            yield act(g, v, c)
+
+
 def trajectory_echelon(p: SubshiftPresentation, F: FiniteSubset) -> Echelon:
-    """Echelon of {act(g, v) : g in F, v generator}; descending scan order
-    keeps fill-in low for shift-structured inputs (the result is order
-    independent)."""
+    """Echelon of {act(g, v) : g in F, v generator}."""
     if F.group != p.group:
         raise ValueError("window group does not match the presentation")
-    ech = Echelon(p.field)
-    c = p.cocycle
-    gens = p.generators
-    for g in reversed(F.sorted_elements()):
-        for v in gens:
-            ech.add(act(g, v, c))
-    return ech
+    return Echelon(p.field, _translates(p, F.elements))
 
 
 def trajectory(p: SubshiftPresentation, F: FiniteSubset) -> Subspace:
@@ -187,10 +187,12 @@ def _quotient_split(
     which is asserted.
     """
     _check_same_ambient(M, N)
+    if F.group != M.group:
+        raise ValueError("window group does not match the presentation")
     approx = approx or DEFAULT_STABILIZATION
-    c = M.cocycle
     fld = M.field
-    ech_T = trajectory_echelon(M, F)
+    translates = list(_translates(M, F.elements))
+    ech_T = Echelon(fld, translates)
     dim_total = ech_T.dim
 
     if not N.generators:
@@ -198,47 +200,25 @@ def _quotient_split(
 
     _, meet = _zassenhaus(fld, ech_T.rows)
     ech_N = Echelon(fld)
-
-    cap = 0
-
-    def add_batch(batch):
-        nonlocal cap
-        for g in reversed(sorted(batch)):
-            for w in N.generators:
-                vec = act(g, w, c)
-                if meet(vec):
-                    cap += 1
-                ech_N.add(vec)
-
-    S1 = ball(M.group, 1)
-    window = F
-    add_batch(window.elements)
-    window_dims = (ech_N.dim, cap)  # dim_sub, dim_window_meet
-    prev_cap = cap
-    streak = 0
-    steps = 0
+    cap = streak = 0
     stabilized = False
-    for m in range(1, approx.max_steps + 1):
-        grown = set_product(S1, window)
-        add_batch(grown.elements - window.elements)
-        window = grown
-        steps = m
+    for steps, shell in enumerate(shells(M.group, F.elements)):
+        before = cap
+        for vec in _translates(N, shell):
+            if meet(vec):
+                cap += 1
+            ech_N.add(vec)
+        if not steps:
+            window_dims = (ech_N.dim, cap)  # dim_sub, dim_window_meet
         # streak counts consecutive growth steps with no new intersection
-        if cap == prev_cap:
-            streak += 1
-        else:
-            streak = 0
-        prev_cap = cap
+        streak = streak + 1 if steps and cap == before else 0
         if streak >= approx.stability_window:
             stabilized = True
             break
+        if steps == approx.max_steps:
+            break
 
-    ech_img = Echelon(fld)
-    gens = M.generators
-    for g in reversed(F.sorted_elements()):
-        for v in gens:
-            ech_img.add(ech_N.reduce(act(g, v, c)))
-    dim_image = ech_img.dim
+    dim_image = Echelon(fld, (ech_N.reduce(v) for v in translates)).dim
     if dim_total != cap + dim_image:
         raise RuntimeError(
             "internal inconsistency: "

@@ -442,6 +442,31 @@ def test_addition_check_nmax_zero_exit_2(capsys):
     assert "error: n_max must be >= 1" in err
 
 
+def test_out_to_unwritable_path_exit_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli(
+        capsys, "folner-ratios", "--group", "Z", "--nmax", "2", "--out", str(target)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["validate-cocycle", "--field", "gf3", "--budget", "-5"], "sample_budget"),
+        (["folner-ratios", "--nmax", "-3"], "n_max"),
+    ],
+    ids=["validate-budget", "folner-nmax"],
+)
+def test_out_of_range_counts_exit_2(capsys, args, message):
+    code, out, err = run_cli(capsys, args[0], "--group", "Z", *args[1:])
+    assert code == 2
+    assert out == ""
+    assert f"error: {message} must be >= 1" in err
+
+
 P61 = 2**61 - 1
 
 

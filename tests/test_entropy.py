@@ -328,6 +328,73 @@ def test_addition_check_window_dims_match_rebuilt_windows():
     assert windows == 4 * (2 + 3 + 3 + 1)
 
 
+class _BoxesAndHalfLines:
+    """F_n = [-n, n] for even n and [0, n] for odd n on Z: every odd
+    window from F_3 on fails to contain its predecessor."""
+
+    group = Z
+
+    def set_at(self, n):
+        lo = -n if n % 2 == 0 else 0
+        return FiniteSubset(Z, [(k,) for k in range(lo, n + 1)])
+
+
+def test_estimate_dims_equal_per_window_trajectories():
+    """The dims that estimate reads off one echelon grown across windows
+    equal the trajectories rebuilt per window, nested scheme or not."""
+    from entrolen.crossed_product import frobenius_cocycle
+    from entrolen.exact_linalg import QuadraticField, RationalField
+    from entrolen.folner import default_scheme
+    from entrolen.groups import ball, Heisenberg
+
+    rng = random.Random(47)
+    cases = [
+        (trivial_cocycle(GF2, FreeAbelian(2)), None, 4),
+        (trivial_cocycle(GF3, ZZ2), None, 5),
+        (frobenius_cocycle(QuadraticField(2), Z), None, 6),
+        (trivial_cocycle(RationalField(), Heisenberg()), None, 3),
+        (trivial_cocycle(GF3, Z), _BoxesAndHalfLines(), 7),
+    ]
+    for cocycle, scheme, n_max in cases:
+        scheme = scheme or default_scheme(cocycle.group)
+        support = ball(cocycle.group, 1).sorted_elements()
+        for _ in range(3):
+            p = _random_presentation(rng, cocycle, rng.randint(1, 2), support)
+            rows = estimate(p, scheme, n_max).rows
+            assert [(r.n, r.folner_size, r.dim) for r in rows] == [
+                (n, len(scheme.set_at(n)), trajectory_dim(p, scheme.set_at(n)))
+                for n in range(1, n_max + 1)
+            ]
+
+
+def test_stability_window_does_not_move_quotient_dims():
+    """On random rank-2 GF(2)[Z] presentations the split stops at the same
+    dims with stability windows 3 and 15, both stabilized; with no growth
+    budget it stops at E_0 = F, unstabilized, with an upper-bound image."""
+    from entrolen.shift_modules import ses_dims
+
+    rng = random.Random(53)
+    support = [(k,) for k in range(-2, 3)]
+    for _ in range(30):
+        M = _random_presentation(rng, CZ2, 2, support)
+        N = _random_presentation(rng, CZ2, 2, support)
+        F = BOXES.set_at(rng.randint(1, 5))
+        short, long_, none = (
+            ses_dims(M, N, F, StabilizationConfig(stability_window=w, max_steps=m))
+            for w, m in ((3, 30), (15, 30), (3, 0))
+        )
+        assert short.stabilized and long_.stabilized
+        assert short.steps >= 3 and long_.steps >= 15
+        assert (short.dim_intersection, short.dim_image) == (
+            long_.dim_intersection,
+            long_.dim_image,
+        )
+        assert not none.stabilized and none.steps == 0
+        assert none.dim_intersection == none.dim_window_meet == short.dim_window_meet
+        assert none.dim_sub == short.dim_sub
+        assert none.dim_image >= short.dim_image
+
+
 def test_zero_divisor_scan_submodule_rows_are_the_estimate():
     for x, cocycle, scheme in ((E_PLUS_S, CX3, BOXZ2), (T_MINUS_1, CZ3, BOXES)):
         rep = zero_divisor_scan(x, cocycle, scheme, 6, 2)

@@ -159,6 +159,15 @@ class _NonNested:
         return zset(n)
 
 
+class _HalfLines:
+    """F_n = [0, n]: nested and containing e, but never covering ball(1)."""
+
+    group = Z
+
+    def set_at(self, n):
+        return zrange(0, n)
+
+
 def test_verify_exhaustion_failures():
     rep = verify_exhaustion(_BrokenScheme(), 5)
     assert not rep.ok
@@ -166,6 +175,9 @@ def test_verify_exhaustion_failures():
     rep2 = verify_exhaustion(_NonNested(), 5)
     assert not rep2.ok
     assert "not contained" in rep2.first_violation
+    rep3 = verify_exhaustion(_HalfLines(), 5)
+    assert not rep3.ok
+    assert rep3.first_violation == "ball(1) not covered by any F_m with m <= 5"
 
 
 def test_default_schemes():

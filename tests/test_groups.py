@@ -10,6 +10,7 @@ from entrolen.groups import (
     Heisenberg,
     parse_group_element,
     set_product,
+    shells,
     translate,
     ZCrossZ2,
 )
@@ -85,6 +86,31 @@ def test_ball_nesting_and_base():
             cur = ball(group, r)
             assert prev.is_subset(cur)
             prev = cur
+
+
+def _bfs_ball(group, r):
+    """Products of at most r generators, by plain breadth-first search."""
+    cur = {group.identity}
+    for _ in range(r):
+        cur = {group.mul(g, s) for g in cur for s in group.generators()}
+    return cur
+
+
+@pytest.mark.parametrize("group", ALL_GROUPS, ids=lambda g: g.name)
+def test_shells_partition_balls_and_grown_windows(group):
+    """The first r + 1 shells of start are disjoint and make up
+    ball(r) * start, for start = (e,) and for a two-point window."""
+    balls = [_bfs_ball(group, r) for r in range(7)]
+    s = group.generators()[-1]
+    far = group.mul(s, group.mul(s, s))
+    for start in ((group.identity,), (group.identity, far)):
+        union = set()
+        for r, shell in zip(range(7), shells(group, start)):
+            assert not union & shell
+            union |= shell
+            assert union == {group.mul(b, w) for b in balls[r] for w in start}
+    for r in range(7):
+        assert ball(group, r).elements == balls[r]
 
 
 def test_translate_examples():

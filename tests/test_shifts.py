@@ -118,6 +118,14 @@ def test_budget_exhaustion_is_flagged():
     assert q.dim_image >= 1
 
 
+def test_ses_dims_empty_window():
+    M = bernoulli(CZ3, 1)
+    N = cyclic_presentation(CZ3, T_MINUS_1)
+    q = ses_dims(M, N, FiniteSubset(Z, []))
+    assert (q.dim_total, q.dim_intersection, q.dim_image) == (0, 0, 0)
+    assert q.stabilized and q.steps == 3
+
+
 def test_stabilization_config_validation():
     with pytest.raises(ValueError):
         StabilizationConfig(stability_window=0)
