@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 
 from .exact_linalg import Echelon, RationalField
 from .groups import (
@@ -376,49 +376,34 @@ def validate_cocycle(c: CocycleData, sample_budget: int = 2000, seed: int = 0) -
     # cocycle identity on sampled triples
     n_triples = 0
     mul_g = group.mul
-    done = False
-    for g1 in B:
-        for g2 in B:
-            for g3 in B:
-                if n_triples >= sample_budget:
-                    done = True
-                    break
-                n_triples += 1
-                lhs = F.mul(c.rho(g1, g2), c.rho(mul_g(g1, g2), g3))
-                rhs = F.mul(c.sigma(g1, c.rho(g2, g3)), c.rho(g1, mul_g(g2, g3)))
-                if lhs != rhs:
-                    return fail(
-                        "cocycle identity fails at "
-                        f"({format_group_element(g1)}, {format_group_element(g2)}, "
-                        f"{format_group_element(g3)})",
-                        n_triples,
-                        0,
-                    )
-            if done:
-                break
-        if done:
-            break
+    for g1, g2, g3 in islice(product(B, repeat=3), sample_budget):
+        n_triples += 1
+        lhs = F.mul(c.rho(g1, g2), c.rho(mul_g(g1, g2), g3))
+        rhs = F.mul(c.sigma(g1, c.rho(g2, g3)), c.rho(g1, mul_g(g2, g3)))
+        if lhs != rhs:
+            return fail(
+                "cocycle identity fails at "
+                f"({format_group_element(g1)}, {format_group_element(g2)}, "
+                f"{format_group_element(g3)})",
+                n_triples,
+                0,
+            )
 
     # automorphism compatibility on sampled pairs and coefficients
-    n_pairs = 0
-    for g1 in B:
-        for g2 in B:
-            if n_pairs >= sample_budget:
-                break
-            n_pairs += 1
-            u = c.rho(g1, g2)
-            u_inv = F.inv(u)
-            for r in coeffs:
-                lhs = c.sigma(g1, c.sigma(g2, r))
-                rhs = F.mul(u, F.mul(c.sigma(mul_g(g1, g2), r), u_inv))
-                if lhs != rhs:
-                    return fail(
-                        "automorphism compatibility fails at "
-                        f"({format_group_element(g1)}, {format_group_element(g2)}) "
-                        f"with r={F.fmt(r)}",
-                        n_triples,
-                        0,
-                    )
+    for g1, g2 in islice(product(B, repeat=2), sample_budget):
+        u = c.rho(g1, g2)
+        u_inv = F.inv(u)
+        for r in coeffs:
+            lhs = c.sigma(g1, c.sigma(g2, r))
+            rhs = F.mul(u, F.mul(c.sigma(mul_g(g1, g2), r), u_inv))
+            if lhs != rhs:
+                return fail(
+                    "automorphism compatibility fails at "
+                    f"({format_group_element(g1)}, {format_group_element(g2)}) "
+                    f"with r={F.fmt(r)}",
+                    n_triples,
+                    0,
+                )
 
     # associativity of the bilinear product on seeded random elements
     rng = random.Random(seed)

@@ -425,36 +425,20 @@ def span_dim(field, vectors) -> int:
     return Echelon(field, vectors).dim
 
 
-def _zassenhaus(field, rows: dict):
-    """Zassenhaus block echelon for U meet V, U given by echelon rows and
-    V by the vectors fed to the returned meet(v) one at a time.
-
-    Rows (u, u) for U are echelonized over tagged labels with every tag-0
-    label ordered before every tag-1 label.  meet(v) inserts the row
-    (v, 0) and returns True exactly when the new pivot carries tag 1, i.e.
-    when v raises dim(U meet V) by one.  The rows whose pivot carries
-    tag 1 are supported entirely on the tag-1 block and their untagged
-    images form a basis of the intersection.
-    """
-    tagged = (
-        {(t, l): v for l, v in row.items() for t in (0, 1)}
-        for row in _descending(rows)
-    )
-    ech = Echelon(field, tagged)
-
-    def meet(vec: dict) -> bool:
-        piv = ech.add({(0, l): v for l, v in vec.items()})
-        return piv is not None and piv[0] == 1
-
-    return ech, meet
-
-
 def intersect(U: Subspace, V: Subspace) -> Subspace:
-    """U meet V by the Zassenhaus block trick."""
+    """U meet V by the Zassenhaus block trick.
+
+    Rows (u, u) for U and then (v, 0) for V are echelonized over tagged
+    labels with every tag-0 label ordered before every tag-1 label.  The
+    rows whose pivot carries tag 1 are supported entirely on the tag-1
+    block and their untagged images form a basis of the intersection.
+    """
     _same_field(U, V)
-    ech, meet = _zassenhaus(U.field, U.rows)
-    for row in _descending(V.rows):
-        meet(row)
+    tagged = [
+        {(t, l): v for l, v in row.items() for t in (0, 1)}
+        for row in _descending(U.rows)
+    ] + [{(0, l): v for l, v in row.items()} for row in _descending(V.rows)]
+    ech = Echelon(U.field, tagged)
     tag_1 = (
         {l: v for (_, l), v in row.items()}
         for piv, row in ech.rows.items()

@@ -17,37 +17,42 @@ from .groups import (
     FiniteSubset,
     FreeAbelian,
     Heisenberg,
-    set_product,
     shells,
     ZCrossZ2,
 )
 
 
+def _union_and_meet(A: FiniteSubset, C: FiniteSubset):
+    """Union and intersection of the right translates A c^{-1}, c in C,
+    holding one translate at a time: xc in A exactly when x in A c^{-1}."""
+    _check_pair(A, C)
+    mul, inv = A.group.mul, A.group.inv
+    union, meet = set(), None
+    for c in C.sorted_elements():
+        c_inv = inv(c)
+        translate = {mul(a, c_inv) for a in A.elements}
+        union |= translate
+        if meet is None:
+            meet = translate
+        else:
+            meet &= translate
+    return union, meet
+
+
 def exterior(A: FiniteSubset, C: FiniteSubset) -> FiniteSubset:
     """Out_C(A) = {x : xC meets A}, i.e. A C^{-1}."""
-    _check_pair(A, C)
-    return set_product(A, C.inverse())
+    return FiniteSubset._raw(A.group, frozenset(_union_and_meet(A, C)[0]))
 
 
 def interior(A: FiniteSubset, C: FiniteSubset) -> FiniteSubset:
     """In_C(A) = {x : xC contained in A}."""
-    _check_pair(A, C)
-    group = A.group
-    mul = group.mul
-    elems = A.elements
-    c0 = next(iter(C.elements))
-    inv_c0 = group.inv(c0)
-    candidates = (mul(a, inv_c0) for a in elems)
-    cs = C.sorted_elements()
-    kept = frozenset(
-        x for x in candidates if all(mul(x, c) in elems for c in cs)
-    )
-    return FiniteSubset._raw(group, kept)
+    return FiniteSubset._raw(A.group, frozenset(_union_and_meet(A, C)[1]))
 
 
 def boundary(A: FiniteSubset, C: FiniteSubset) -> FiniteSubset:
     """Boundary = exterior minus interior."""
-    return exterior(A, C).difference(interior(A, C))
+    union, meet = _union_and_meet(A, C)
+    return FiniteSubset._raw(A.group, frozenset(union - meet))
 
 
 def _check_pair(A: FiniteSubset, C: FiniteSubset):

@@ -20,7 +20,7 @@ from .crossed_product import (
     CocycleData,
     CrossedElement,
 )
-from .exact_linalg import _zassenhaus, Echelon, field_from_name, span, Subspace
+from .exact_linalg import Echelon, field_from_name, span, Subspace
 from .groups import (
     FiniteSubset,
     format_group_element,
@@ -181,10 +181,11 @@ def _quotient_split(
     approx.stability_window consecutive steps; E_0 = F gives dim_sub and
     dim_window_meet.
 
-    The intersection dimension comes from a tagged (Zassenhaus) echelon
-    and the image dimension from reduction modulo the submodule window;
-    the two routes must satisfy dim_total = intersection + image exactly,
-    which is asserted.
+    The N translates go into an echelon of V = T_E(N) and into the echelon
+    of T, which then spans T + V, so dim(T meet V) = dim T + dim V -
+    dim(T + V).  The image dimension comes independently from reduction
+    of the M translates modulo V; the two routes must satisfy
+    dim_total = intersection + image exactly, which is asserted.
     """
     _check_same_ambient(M, N)
     if F.group != M.group:
@@ -198,16 +199,15 @@ def _quotient_split(
     if not N.generators:
         return SesDims(dim_total, 0, dim_total, True, 0, 0, 0)
 
-    _, meet = _zassenhaus(fld, ech_T.rows)
     ech_N = Echelon(fld)
     cap = streak = 0
     stabilized = False
     for steps, shell in enumerate(shells(M.group, F.elements)):
         before = cap
         for vec in _translates(N, shell):
-            if meet(vec):
-                cap += 1
-            ech_N.add(vec)
+            if ech_N.add(vec) is not None:  # else vec already lies in T + V
+                ech_T.add(vec)
+        cap = dim_total + ech_N.dim - ech_T.dim
         if not steps:
             window_dims = (ech_N.dim, cap)  # dim_sub, dim_window_meet
         # streak counts consecutive growth steps with no new intersection

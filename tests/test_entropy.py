@@ -295,7 +295,8 @@ def _random_presentation(rng, cocycle, rank, support):
 
 
 def test_addition_check_window_dims_match_rebuilt_windows():
-    """dim T_F(N) and dim(T_F(M) meet T_F(N)), read from the quotient
+    """dim T_F(N), dim(T_F(M) meet T_F(N)) and the final intersection
+    dim(T_F(M) meet T_E(N)), E = ball(steps) * F, read from the quotient
     split, equal the trajectories rebuilt and intersected from scratch."""
     from entrolen.crossed_product import frobenius_cocycle
     from entrolen.exact_linalg import intersect, QuadraticField, RationalField
@@ -322,8 +323,11 @@ def test_addition_check_window_dims_match_rebuilt_windows():
             for w in rep.windows:
                 F = scheme.set_at(w.n)
                 assert w.dim_sub == trajectory_dim(N, F)
-                meet = intersect(trajectory(M, F), trajectory(N, F)).dim
-                assert ses_dims(M, N, F).dim_window_meet == meet
+                T = trajectory(M, F)
+                split = ses_dims(M, N, F)
+                assert split.dim_window_meet == intersect(T, trajectory(N, F)).dim
+                E = set_product(ball(cocycle.group, split.steps), F)
+                assert split.dim_intersection == intersect(T, trajectory(N, E)).dim
                 windows += 1
     assert windows == 4 * (2 + 3 + 3 + 1)
 
