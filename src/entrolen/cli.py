@@ -77,17 +77,22 @@ def parse_presentation(path: str) -> SubshiftPresentation:
         raise CliError(f"{path}:{exc.line}:{exc.col}: {exc.message}") from None
 
 
-def _parse_inline_generators(field, group, rank: int, text: str):
+def _parse_inline_generators(field, group, rank: int, text: str, flag: str):
     """Inline generator list: generators joined by ";", each a " + "-joined
     list of terms coeff*(g)|coord with 1-based coordinates."""
     generators = []
+    col = 1
     for gen_str in text.split(";"):
         if not gen_str.strip():
-            raise CliError("empty generator in --gen")
-        vec = _parse_terms(field, group, gen_str.strip(), rank)
+            raise CliError(f"empty generator in --{flag}")
+        try:
+            vec = _parse_terms(field, group, gen_str, rank, col)
+        except ValueError as exc:
+            raise CliError(f"--{flag}: {exc}") from None
         if not vec:
-            raise CliError("generator vanishes after combining terms")
+            raise CliError(f"--{flag}: generator vanishes after combining terms")
         generators.append(vec)
+        col += len(gen_str) + len(";")
     return generators
 
 
@@ -261,7 +266,7 @@ class RunConfig:
         text = self.get("gen")
         if text is None:
             raise CliError("need --gen or --presentation")
-        gens = _parse_inline_generators(field, group, rank, text)
+        gens = _parse_inline_generators(field, group, rank, text, "gen")
         return SubshiftPresentation(cocycle, rank, gens)
 
 
@@ -318,7 +323,7 @@ def _sub_presentation(run: RunConfig, ambient: SubshiftPresentation):
         gens = []  # the zero submodule is presented by no generators
     else:
         gens = _parse_inline_generators(
-            ambient.field, ambient.group, ambient.rank, text
+            ambient.field, ambient.group, ambient.rank, text, "ngen"
         )
     return SubshiftPresentation(ambient.cocycle, ambient.rank, gens)
 
@@ -359,7 +364,7 @@ def _cmd_zerodiv(run: RunConfig) -> int:
     try:
         x = parse_element(field, group, run.require("elem"))
     except ValueError as exc:
-        raise CliError(str(exc)) from None
+        raise CliError(f"--elem: {exc}") from None
     if x.is_zero():
         raise CliError("element must be nonzero")
     scheme = run.scheme(group)

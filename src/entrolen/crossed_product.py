@@ -140,35 +140,40 @@ def _add_term(field, acc: dict, key, coeff):
         acc.pop(key, None)
 
 
-def _parse_terms(field, group, text: str, rank: int | None = None) -> dict:
+def _parse_terms(field, group, text: str, rank: int | None = None, col: int = 1) -> dict:
     """Sum the " + "-joined terms coeff*(g) of text, dropping exact zeros.
 
     With a rank every term carries a 1-based coordinate suffix |coord and
     the keys are free-module labels (g, coord - 1); without, they are g.
+    An error names the 1-based column of its term, text[0] being column col.
     """
     out: dict = {}
     shape = "coeff*(g)" if rank is None else "coeff*(g)|coord"
     for raw in text.split(" + "):
         part = raw.strip()
-        body = part
-        if rank is not None:
-            body, bar, coord_str = part.rpartition("|")
-            if not bar:
-                raise ValueError(f"term {part!r} needs a |coord suffix")
-            try:
-                coord = int(coord_str)
-            except ValueError:
-                raise ValueError(f"bad coordinate {coord_str!r} in {part!r}") from None
-            if not (1 <= coord <= rank):
-                raise ValueError(f"coordinate {coord} outside 1..{rank}")
-        if "*(" not in body:
-            raise ValueError(f"bad term {part!r} (expected {shape})")
-        coeff_str, g_body = body.rsplit("*(", 1)
-        coeff = field.parse(coeff_str)
-        g = parse_group_element(group, "(" + g_body)
-        if not coeff:
-            raise ValueError(f"zero coefficient in term {part!r}")
+        try:
+            body = part
+            if rank is not None:
+                body, bar, coord_str = part.rpartition("|")
+                if not bar:
+                    raise ValueError(f"term {part!r} needs a |coord suffix")
+                try:
+                    coord = int(coord_str)
+                except ValueError:
+                    raise ValueError(f"bad coordinate {coord_str!r} in {part!r}") from None
+                if not (1 <= coord <= rank):
+                    raise ValueError(f"coordinate {coord} outside 1..{rank}")
+            if "*(" not in body:
+                raise ValueError(f"bad term {part!r} (expected {shape})")
+            coeff_str, g_body = body.rsplit("*(", 1)
+            coeff = field.parse(coeff_str)
+            g = parse_group_element(group, "(" + g_body)
+            if not coeff:
+                raise ValueError(f"zero coefficient in term {part!r}")
+        except ValueError as exc:
+            raise ValueError(f"col {col + len(raw) - len(raw.lstrip())}: {exc}") from None
         _add_term(field, out, g if rank is None else (g, coord - 1), coeff)
+        col += len(raw) + len(" + ")
     return out
 
 
@@ -177,7 +182,7 @@ def parse_element(field, group, text: str) -> CrossedElement:
     s = text.strip()
     if not s or s == "0":
         return CrossedElement.zero(field, group)
-    return CrossedElement._raw(field, group, _parse_terms(field, group, s))
+    return CrossedElement._raw(field, group, _parse_terms(field, group, text))
 
 
 def _abelianized_degree(group, g) -> int:

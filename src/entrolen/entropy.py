@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .crossed_product import CrossedElement, find_annihilator
-from .exact_linalg import Echelon
+from .exact_linalg import rank_echelon
 from .shift_modules import (
     _quotient_split,
     _translates,
@@ -67,14 +67,14 @@ def _estimate(dims, all_stabilized: bool = True) -> EntropyEstimate:
 
 def _trajectory_dims(p: SubshiftPresentation, windows):
     """(n, |F|, dim T_F) for each (n, F), from one echelon grown by each
-    window's new elements (exact: pivots depend only on the row space); a
-    window not containing the previous one restarts from an empty echelon."""
-    ech, prev = Echelon(p.field), frozenset()
+    window's new elements (exact: the rank depends only on the row space);
+    a window not containing the previous one restarts from an empty echelon."""
+    ech, prev = rank_echelon(p.field), frozenset()
     for n, F in windows:
         if not prev <= F.elements:
-            ech, prev = Echelon(p.field), frozenset()
+            ech, prev = rank_echelon(p.field), frozenset()
         for vec in _translates(p, F.elements - prev):
-            ech.add(vec)
+            ech.add(ech.pack(vec))
         prev = F.elements
         yield n, len(F), ech.dim
 

@@ -4,7 +4,8 @@ Fields: GF(p), the quadratic extension GF(p^2) with its Frobenius
 automorphism, and the rationals.  Field elements are plain values (small
 ints for the finite fields, Fraction for the rationals) and every zero
 element is falsy; the field object supplies the operations, so vectors
-stay lightweight dicts from column labels to nonzero coefficients.
+stay lightweight dicts from column labels to nonzero coefficients.  Over
+GF(2), rank_echelon packs them into int rows for the dimension-only paths.
 
 Column labels may be any mutually orderable hashable values.  Subspaces
 expose the reduced row echelon basis, which is unique for a given row
@@ -350,6 +351,13 @@ class Echelon:
         self.rows[piv] = rem
         return piv
 
+    def sibling(self) -> "Echelon":
+        return Echelon(self.field)
+
+    @staticmethod
+    def pack(vec: dict) -> dict:
+        return vec
+
     def rref(self) -> dict:
         """Canonical reduced echelon rows (unique per row space)."""
         final: dict = {}
@@ -361,6 +369,58 @@ class Echelon:
             rem[piv] = field.one
             final[piv] = rem
         return final
+
+
+class Gf2Echelon:
+    """GF(2) rows packed into ints and combined by XOR, for dimensions and
+    reduce-to-zero verdicts (M4RI without its Gray-code tables).  A label's
+    bit is its order of first appearance in the table that sibling echelons
+    share, and a row's pivot is its highest bit."""
+
+    __slots__ = ("bits", "rows", "pivots")
+
+    def __init__(self, bits=None):
+        self.bits = {} if bits is None else bits
+        self.rows: dict = {}
+        self.pivots = 0  # the mask of all pivot bits
+
+    dim = Echelon.dim
+
+    def sibling(self) -> "Gf2Echelon":
+        return Gf2Echelon(self.bits)
+
+    def pack(self, vec: dict) -> int:
+        bits = self.bits
+        x = 0
+        for lbl in vec:  # every nonzero GF(2) coefficient is 1
+            b = bits.get(lbl)
+            if b is None:
+                b = bits[lbl] = len(bits)
+            x |= 1 << b
+        return x
+
+    def reduce(self, x: int) -> int:
+        """The full normal form: no pivot bit is left set."""
+        while hit := x & self.pivots:
+            x ^= self.rows[hit.bit_length() - 1]
+        return x
+
+    def add(self, x: int):
+        """Echelon.add on a packed row; the pivot returned is a bit."""
+        rows = self.rows
+        while x and (top := x.bit_length() - 1) in rows:
+            x ^= rows[top]
+        if not x:
+            return None
+        rows[top] = x
+        self.pivots |= 1 << top
+        return top
+
+
+def rank_echelon(field):
+    """An empty echelon for dimensions and reduce-to-zero verdicts only:
+    GF(2) gets the int-row kernel, every other field the dict Echelon."""
+    return Gf2Echelon() if field == PrimeField(2) else Echelon(field)
 
 
 class Subspace:
@@ -421,10 +481,6 @@ def span(field, vectors) -> Subspace:
     return Subspace.from_echelon(Echelon(field, vectors))
 
 
-def span_dim(field, vectors) -> int:
-    return Echelon(field, vectors).dim
-
-
 def intersect(U: Subspace, V: Subspace) -> Subspace:
     """U meet V by the Zassenhaus block trick.
 
@@ -445,10 +501,3 @@ def intersect(U: Subspace, V: Subspace) -> Subspace:
         if piv[0] == 1
     )
     return Subspace.from_echelon(Echelon(U.field, tag_1))
-
-
-def quotient_dim(U: Subspace, W: Subspace) -> int:
-    """dim((U + W) / W) = dim(U + W) - dim(W)."""
-    _same_field(U, W)
-    return Echelon(U.field, _descending(W.rows) + _descending(U.rows)).dim - W.dim
-

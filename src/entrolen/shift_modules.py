@@ -20,7 +20,7 @@ from .crossed_product import (
     CocycleData,
     CrossedElement,
 )
-from .exact_linalg import Echelon, field_from_name, span, Subspace
+from .exact_linalg import Echelon, field_from_name, rank_echelon, span, Subspace
 from .groups import (
     FiniteSubset,
     format_group_element,
@@ -191,22 +191,25 @@ def _quotient_split(
     if F.group != M.group:
         raise ValueError("window group does not match the presentation")
     approx = approx or DEFAULT_STABILIZATION
-    fld = M.field
-    translates = list(_translates(M, F.elements))
-    ech_T = Echelon(fld, translates)
+    # the three echelons are siblings: rows packed by one go into any other
+    ech_T = rank_echelon(M.field)
+    translates = [ech_T.pack(v) for v in _translates(M, F.elements)]
+    for x in translates:
+        ech_T.add(x)
     dim_total = ech_T.dim
 
     if not N.generators:
         return SesDims(dim_total, 0, dim_total, True, 0, 0, 0)
 
-    ech_N = Echelon(fld)
+    ech_N = ech_T.sibling()
     cap = streak = 0
     stabilized = False
     for steps, shell in enumerate(shells(M.group, F.elements)):
         before = cap
         for vec in _translates(N, shell):
-            if ech_N.add(vec) is not None:  # else vec already lies in T + V
-                ech_T.add(vec)
+            x = ech_T.pack(vec)
+            if ech_N.add(x) is not None:  # else x already lies in T + V
+                ech_T.add(x)
         cap = dim_total + ech_N.dim - ech_T.dim
         if not steps:
             window_dims = (ech_N.dim, cap)  # dim_sub, dim_window_meet
@@ -218,7 +221,10 @@ def _quotient_split(
         if steps == approx.max_steps:
             break
 
-    dim_image = Echelon(fld, (ech_N.reduce(v) for v in translates)).dim
+    image = ech_T.sibling()
+    for x in translates:
+        image.add(ech_N.reduce(x))
+    dim_image = image.dim
     if dim_total != cap + dim_image:
         raise RuntimeError(
             "internal inconsistency: "

@@ -228,6 +228,54 @@ def test_presentation_file_errors(tmp_path, capsys):
     assert "zero coefficient" in err
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["entropy", "--gen", "1*(0)|1 + 1*(x)|1"],
+         "--gen: col 11: non-integer coordinate in group element '(x)'"),
+        (["entropy", "--gen", "1*(0)|1; 1*(1)|1 +  0*(2)|1"],
+         "--gen: col 21: zero coefficient in term '0*(2)|1'"),
+        (["quotient-entropy", "--gen", "1*(0)|1", "--ngen", "1*(0)|1 + 1*(1)"],
+         "--ngen: col 11: term '1*(1)' needs a |coord suffix"),
+        (["zerodiv", "--elem", " 1*(0) + 2*(y)", "--radius", "1"],
+         "--elem: col 10: non-integer coordinate in group element '(y)'"),
+    ],
+    ids=["gen", "gen-second-generator", "ngen", "elem"],
+)
+def test_inline_term_errors_name_their_column(capsys, args, message):
+    extra = ["--rank", "1"] if args[0] != "zerodiv" else []
+    code, out, err = run_cli(
+        capsys, *args, "--group", "Z", "--field", "gf3", "--nmax", "2", *extra
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_gf2_quotient_entropy_stdout(capsys):
+    """Recorded before GF(2) windows moved to the int-row kernel."""
+    code, out, _ = run_cli(
+        capsys,
+        "quotient-entropy",
+        "--group", "Z^2",
+        "--field", "gf2",
+        "--rank", "1",
+        "--gen", "1*(0,0)|1",
+        "--ngen", "1*(0,0)|1 + 1*(1,0)|1 + 1*(0,1)|1",
+        "--nmax", "6",
+    )
+    assert code == 0
+    assert out == (
+        "n,folner_size,trajectory_dim,ratio\n"
+        "1,9,5,5/9\n"
+        "2,25,9,9/25\n"
+        "3,49,13,13/49\n"
+        "4,81,17,17/81\n"
+        "5,121,21,21/121\n"
+        "6,169,25,25/169\n"
+    )
+
+
 def test_config_file_merge_and_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

@@ -15,8 +15,10 @@ from entrolen.crossed_product import (
     trivial_cocycle,
     validate_cocycle,
 )
-from entrolen.exact_linalg import PrimeField, QuadraticField, span_dim
+from entrolen.exact_linalg import PrimeField, QuadraticField
 from entrolen.groups import ball, FreeAbelian, Heisenberg, ZCrossZ2
+
+from linalg_reference import span_dim
 
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)

@@ -358,6 +358,7 @@ def test_estimate_dims_equal_per_window_trajectories():
         (frobenius_cocycle(QuadraticField(2), Z), None, 6),
         (trivial_cocycle(RationalField(), Heisenberg()), None, 3),
         (trivial_cocycle(GF3, Z), _BoxesAndHalfLines(), 7),
+        (trivial_cocycle(GF2, Z), _BoxesAndHalfLines(), 7),
     ]
     for cocycle, scheme, n_max in cases:
         scheme = scheme or default_scheme(cocycle.group)

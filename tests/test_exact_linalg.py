@@ -11,15 +11,18 @@ from entrolen.exact_linalg import (
     _quadratic_modulus,
     Echelon,
     field_from_name,
+    Gf2Echelon,
     intersect,
     PrimeField,
     QuadraticField,
-    quotient_dim,
     RationalField,
+    rank_echelon,
     span,
-    span_dim,
     Subspace,
 )
+from entrolen.groups import ball, FreeAbelian, Heisenberg, ZCrossZ2
+
+from linalg_reference import quotient_dim, span_dim
 
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)
@@ -282,3 +285,66 @@ def test_inv_of_zero_raises():
     for field in FINITE_FIELDS + [QQ]:
         with pytest.raises(ZeroDivisionError):
             field.inv(field.zero)
+
+
+def _xor(vectors):
+    out = {}
+    for vec in vectors:
+        for lbl in vec:
+            if out.pop(lbl, None) is None:
+                out[lbl] = 1
+    return out
+
+
+def _gf2_growth(rng, group):
+    """Sparse GF(2) vectors over (g, j) labels on balls of radius 1, 2, 3
+    in turn, so labels keep arriving as on nested windows; about one
+    vector in three is a sum of earlier ones and lies in their span."""
+    vecs = []
+    for radius in (1, 2, 3):
+        labels = [(g, j) for g in ball(group, radius).sorted_elements() for j in (0, 1)]
+        for _ in range(rng.randint(4, 12)):
+            if vecs and rng.random() < 1 / 3:
+                vecs.append(_xor(rng.sample(vecs, rng.randint(1, min(3, len(vecs))))))
+            else:
+                vecs.append({l: 1 for l in rng.sample(labels, rng.randint(1, 4))})
+    return vecs
+
+
+@pytest.mark.parametrize(
+    "group",
+    [FreeAbelian(1), FreeAbelian(2), ZCrossZ2(), Heisenberg()],
+    ids=lambda g: g.name,
+)
+def test_gf2_kernel_matches_dict_echelon(group):
+    rng = random.Random(61)
+    for _ in range(15):
+        vecs = _gf2_growth(rng, group)
+        fast, ref = rank_echelon(GF2), Echelon(GF2)
+        for vec in vecs:
+            assert (fast.add(fast.pack(vec)) is None) == (ref.add(vec) is None)
+            assert fast.dim == ref.dim
+        probes = _gf2_growth(rng, group) + [_xor(rng.sample(vecs, 2)) for _ in range(10)]
+        for vec in probes:
+            rem = fast.reduce(fast.pack(vec))
+            assert (rem == 0) == (not ref.reduce(vec))
+            assert rem & fast.pivots == 0  # the full normal form
+            # one normal form per coset
+            assert fast.reduce(fast.pack(_xor([vec, rng.choice(vecs)]))) == rem
+        # the reduced rows of U modulo V span (U + V) / V in a sibling that
+        # packs with V's label bits
+        cut = rng.randint(0, len(vecs))
+        V = rank_echelon(GF2)
+        for vec in vecs[:cut]:
+            V.add(V.pack(vec))
+        image = V.sibling()
+        for vec in probes:
+            image.add(V.reduce(image.pack(vec)))
+        assert image.dim == quotient_dim(span(GF2, probes), span(GF2, vecs[:cut]))
+
+
+def test_rank_echelon_picks_the_kernel_by_field():
+    assert type(rank_echelon(GF2)) is Gf2Echelon
+    for field in (GF3, GF4, QQ):
+        ech = rank_echelon(field)
+        assert type(ech) is Echelon and ech.field == field
