@@ -10,9 +10,11 @@ var ENTROLEN_SEED overrides --seed, the sampling seed of validate-cocycle.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from fractions import Fraction
+from itertools import islice
 
 from .crossed_product import (
     _parse_terms,
@@ -22,7 +24,7 @@ from .crossed_product import (
     validate_cocycle,
 )
 from .exact_linalg import field_from_name
-from .folner import boundary, default_scheme, scheme_from_name
+from .folner import boundary, default_scheme, nested_sets, scheme_from_name
 from .groups import ball, format_group_element, group_from_name
 from .entropy import (
     addition_check,
@@ -160,7 +162,9 @@ def _command_options(command: str) -> dict:
     }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="entrolen",
         description="Exact Folner, tiling and trajectory-entropy runs",
@@ -270,6 +274,17 @@ class RunConfig:
         return SubshiftPresentation(cocycle, rank, gens)
 
 
+def _budget_status(exhausted) -> int:
+    """Name each window that ran out of max_steps on stderr; the exit code."""
+    for n, size, steps in exhausted:
+        print(
+            f"error: window n={n} |F|={size} ran out of max_steps after "
+            f"{steps} growth steps without stabilizing",
+            file=sys.stderr,
+        )
+    return EXIT_BUDGET if exhausted else EXIT_OK
+
+
 def _estimate_csv(est) -> list:
     lines = ["n,folner_size,trajectory_dim,ratio"]
     for row in est.rows:
@@ -309,7 +324,7 @@ def _cmd_quotient(run: RunConfig) -> int:
         pres, sub, scheme, run.require("nmax"), run.stabilization()
     )
     _emit(_estimate_csv(est), run.get("out"))
-    return EXIT_OK if est.all_stabilized else EXIT_BUDGET
+    return _budget_status(est.exhausted)
 
 
 def _sub_presentation(run: RunConfig, ambient: SubshiftPresentation):
@@ -354,7 +369,7 @@ def _cmd_addition(run: RunConfig) -> int:
         f"pass={str(report.passed).lower()}",
     ]
     _emit(lines, run.get("out"))
-    return EXIT_OK if report.all_stabilized else EXIT_BUDGET
+    return _budget_status(report.exhausted)
 
 
 def _cmd_zerodiv(run: RunConfig) -> int:
@@ -385,7 +400,7 @@ def _cmd_zerodiv(run: RunConfig) -> int:
         f"stabilized={str(report.quotient.all_stabilized).lower()}",
     ]
     _emit(lines, run.get("out"))
-    return EXIT_OK if report.quotient.all_stabilized else EXIT_BUDGET
+    return _budget_status(report.quotient.exhausted)
 
 
 def _cmd_tile(run: RunConfig) -> int:
@@ -427,8 +442,7 @@ def _cmd_folner(run: RunConfig) -> int:
     else:
         raise CliError("--cshape box needs a box scheme")
     lines = ["n,folner_size,boundary_size,ratio"]
-    for n in range(1, n_max + 1):
-        F = scheme.set_at(n)
+    for n, F in islice(nested_sets(scheme, n_max), 1, None):
         b = len(boundary(F, C))
         lines.append(f"{n},{len(F)},{b},{_fmt_fraction(Fraction(b, len(F)))}")
     _emit(lines, run.get("out"))

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .crossed_product import CrossedElement, find_annihilator
 from .exact_linalg import rank_echelon
+from .folner import nested_sets
 from .shift_modules import (
     _quotient_split,
     _translates,
@@ -43,7 +45,11 @@ class RatioRow:
 class EntropyEstimate:
     rows: tuple
     estimate: Fraction
-    all_stabilized: bool = True
+    exhausted: tuple = ()  # (n, |F_n|, steps) of each unstabilized window
+
+    @property
+    def all_stabilized(self) -> bool:
+        return not self.exhausted
 
 
 def _check_scheme(p: SubshiftPresentation, scheme):
@@ -56,13 +62,13 @@ def _windows(p: SubshiftPresentation, scheme, n_max: int):
     _check_scheme(p, scheme)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    return ((n, scheme.set_at(n)) for n in range(1, n_max + 1))
+    return islice(nested_sets(scheme, n_max), 1, None)
 
 
-def _estimate(dims, all_stabilized: bool = True) -> EntropyEstimate:
+def _estimate(dims, exhausted: tuple = ()) -> EntropyEstimate:
     """The estimate of (n, |F_n|, dim) triples, headed by the last ratio."""
     rows = tuple(RatioRow(n, size, dim, Fraction(dim, size)) for n, size, dim in dims)
-    return EntropyEstimate(rows, rows[-1].ratio, all_stabilized)
+    return EntropyEstimate(rows, rows[-1].ratio, exhausted)
 
 
 def _trajectory_dims(p: SubshiftPresentation, windows):
@@ -92,10 +98,15 @@ def _splits(M, N, scheme, n_max, approx) -> list:
     ]
 
 
+def _exhausted(splits) -> tuple:
+    """(n, |F_n|, steps) of the windows whose N approximation ran out of
+    max_steps before stabilizing."""
+    return tuple((n, size, s.steps) for n, size, s in splits if not s.stabilized)
+
+
 def _quotient_estimate(splits) -> EntropyEstimate:
     return _estimate(
-        ((n, size, s.dim_image) for n, size, s in splits),
-        all(s.stabilized for _, _, s in splits),
+        ((n, size, s.dim_image) for n, size, s in splits), _exhausted(splits)
     )
 
 
@@ -185,8 +196,12 @@ class AdditionReport:
     discrepancy: Fraction
     tolerance: Fraction
     lower_bound_ok_all: bool
-    all_stabilized: bool
+    exhausted: tuple  # (n, |F_n|, steps) of each unstabilized window
     passed: bool
+
+    @property
+    def all_stabilized(self) -> bool:
+        return not self.exhausted
 
 
 def addition_check(
@@ -212,7 +227,8 @@ def addition_check(
     coeff_M = M.coefficient_span()
     gens_inside = all(coeff_M.contains(w) for w in N.generators)
     windows = []
-    for n, size, s in _splits(M, N, scheme, n_max, approx):
+    splits = _splits(M, N, scheme, n_max, approx)
+    for n, size, s in splits:
         lower_bound_ok = s.dim_total >= s.dim_window_meet + s.dim_image
         if gens_inside:
             lower_bound_ok = lower_bound_ok and s.dim_total >= s.dim_sub + s.dim_image
@@ -241,7 +257,7 @@ def addition_check(
         discrepancy,
         tol,
         all(w.lower_bound_ok for w in windows),
-        all(w.stabilized for w in windows),
+        _exhausted(splits),
         abs(discrepancy) <= tol,
     )
 

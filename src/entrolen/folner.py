@@ -26,11 +26,10 @@ def _union_and_meet(A: FiniteSubset, C: FiniteSubset):
     """Union and intersection of the right translates A c^{-1}, c in C,
     holding one translate at a time: xc in A exactly when x in A c^{-1}."""
     _check_pair(A, C)
-    mul, inv = A.group.mul, A.group.inv
+    right, inv = A.group.right_translate, A.group.inv
     union, meet = set(), None
     for c in C.sorted_elements():
-        c_inv = inv(c)
-        translate = {mul(a, c_inv) for a in A.elements}
+        translate = right(inv(c), A.elements)
         union |= translate
         if meet is None:
             meet = translate
@@ -122,6 +121,21 @@ class WordBalls:
         return ball(self.group, n)
 
 
+def nested_sets(scheme, n_max: int):
+    """Yield (n, F_n) for n = 0..n_max.  Word balls grow from one shells
+    pass instead of one ball call per n, each regrown from the identity."""
+    if not isinstance(scheme, WordBalls):
+        for n in range(n_max + 1):
+            yield n, scheme.set_at(n)
+        return
+    group = scheme.group
+    layers = shells(group, (group.identity,))
+    grown = set()
+    for n, shell in zip(range(n_max + 1), layers):
+        grown |= shell
+        yield n, FiniteSubset._raw(group, frozenset(grown))
+
+
 def default_scheme(group):
     if isinstance(group, FreeAbelian):
         return Boxes(group)
@@ -170,7 +184,7 @@ def verify_exhaustion(scheme, n_max: int) -> ExhaustionReport:
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     group = scheme.group
-    sets = [scheme.set_at(n) for n in range(n_max + 1)]
+    sets = [F for _, F in nested_sets(scheme, n_max)]
     if group.identity not in sets[0]:
         return ExhaustionReport(False, n_max, "identity not in F_0")
     for n in range(n_max):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import islice
+from operator import add
 
 
 @dataclass(frozen=True)
@@ -43,6 +44,22 @@ class FreeAbelian:
         if len(g) != self.dim or len(h) != self.dim:
             raise ValueError("operands from a different group")
         return tuple(a + b for a, b in zip(g, h))
+
+    def left_translate(self, g, elements):
+        """{g*a : a in elements} as a new set, with g unpacked once and no
+        per-element check: the caller has checked g and the elements."""
+        if self.dim == 1:
+            (x,) = g
+            return {(x + a,) for (a,) in elements}
+        if self.dim == 2:
+            x, y = g
+            return {(x + a, y + b) for a, b in elements}
+        if self.dim == 3:
+            x, y, z = g
+            return {(x + a, y + b, z + c) for a, b, c in elements}
+        return {tuple(map(add, g, a)) for a in elements}
+
+    right_translate = left_translate  # {a*g : a in elements}, the same set
 
     def inv(self, g):
         return tuple(-a for a in g)
@@ -83,6 +100,13 @@ class ZCrossZ2:
             raise ValueError("operands from a different group")
         return (g[0] + h[0], (g[1] + h[1]) & 1)
 
+    def left_translate(self, g, elements):
+        """{g*a : a in elements}; see FreeAbelian.left_translate."""
+        x, s = g
+        return {(x + a, t ^ s) for a, t in elements}
+
+    right_translate = left_translate
+
     def inv(self, g):
         return (-g[0], g[1])
 
@@ -118,6 +142,16 @@ class Heisenberg:
         if len(g) != 3 or len(h) != 3:
             raise ValueError("operands from a different group")
         return (g[0] + h[0], g[1] + h[1], g[2] + h[2] + g[0] * h[1])
+
+    def left_translate(self, g, elements):
+        """{g*a : a in elements}; see FreeAbelian.left_translate."""
+        x, y, z = g
+        return {(x + a, y + b, z + c + x * b) for a, b, c in elements}
+
+    def right_translate(self, g, elements):
+        """{a*g : a in elements}, which differs from g*A off the center."""
+        x, y, z = g
+        return {(a + x, b + y, c + z + a * y) for a, b, c in elements}
 
     def inv(self, g):
         a, b, c = g
@@ -259,9 +293,8 @@ class FiniteSubset:
     def translate(self, g):
         """Left translate gA = {g*a : a in A}; a bijection, so |gA| = |A|."""
         self.group.check(g)
-        mul = self.group.mul
         return FiniteSubset._raw(
-            self.group, frozenset(mul(g, a) for a in self.elements)
+            self.group, frozenset(self.group.left_translate(g, self.elements))
         )
 
     def inverse(self):
@@ -276,10 +309,11 @@ def translate(g, A: FiniteSubset) -> FiniteSubset:
 def set_product(A: FiniteSubset, B: FiniteSubset) -> FiniteSubset:
     """AB = {a*b : a in A, b in B}."""
     A._require_same_group(B)
-    mul = A.group.mul
-    return FiniteSubset._raw(
-        A.group, frozenset(mul(a, b) for a in A.elements for b in B.elements)
-    )
+    left = A.group.left_translate
+    product = set()
+    for a in A.elements:
+        product |= left(a, B.elements)
+    return FiniteSubset._raw(A.group, frozenset(product))
 
 
 def shells(group, start):
@@ -288,12 +322,15 @@ def shells(group, start):
     last shell is multiplied, as S*W_k - W_k = S*(W_k - W_{k-1}) - W_k.
     The first r + 1 shells of (e,) make up ball(r), those of F ball(r)*F."""
     gens = group.generators()
-    mul = group.mul
+    left = group.left_translate
     seen = set(start)
     shell = frozenset(seen)
     while True:
         yield shell
-        shell = frozenset({mul(s, g) for g in shell for s in gens} - seen)
+        grown = set()
+        for s in gens:
+            grown |= left(s, shell)
+        shell = frozenset(grown - seen)
         seen |= shell
 
 

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from entrolen.cli import main, parse_presentation
+from entrolen.cli import build_parser, main, parse_presentation
 
 
 def run_cli(capsys, *args):
@@ -69,7 +69,7 @@ def test_quotient_entropy(capsys):
 
 
 def test_quotient_entropy_budget_exhaustion(capsys):
-    code, out, _ = run_cli(
+    code, out, err = run_cli(
         capsys,
         "quotient-entropy",
         "--group", "Z",
@@ -83,6 +83,56 @@ def test_quotient_entropy_budget_exhaustion(capsys):
     assert code == 3
     # partial output still written
     assert out.startswith("n,folner_size,trajectory_dim,ratio")
+    # stderr names every window that ran out of max_steps
+    assert err.splitlines() == [
+        f"error: window n={n} |F|={2 * n + 1} ran out of max_steps after "
+        "0 growth steps without stabilizing"
+        for n in (1, 2, 3)
+    ]
+
+
+def test_addition_check_budget_exhaustion_names_windows(capsys):
+    args = (
+        "addition-check",
+        "--group", "ZxZ2",
+        "--field", "gf3",
+        "--rank", "1",
+        "--gen", "1*(0,0)|1",
+        "--ngen", "1*(0,0)|1 + 1*(0,1)|1",
+        "--nmax", "2",
+    )
+    code, out, err = run_cli(capsys, *args)
+    assert (code, err) == (0, "")
+    code, budget_out, err = run_cli(capsys, *args, "--max-steps", "1")
+    assert code == 3
+    assert "stabilized=false" in budget_out
+    assert err.splitlines() == [
+        "error: window n=1 |F|=6 ran out of max_steps after 1 growth steps "
+        "without stabilizing",
+        "error: window n=2 |F|=10 ran out of max_steps after 1 growth steps "
+        "without stabilizing",
+    ]
+
+
+def test_one_parser_serves_every_command(capsys):
+    """main reuses one cached parser; each command prints what it prints
+    with a freshly built parser."""
+    commands = [
+        ("entropy", "--group", "Z", "--field", "gf2", "--rank", "1",
+         "--gen", "1*(0)|1", "--nmax", "3"),
+        ("folner-ratios", "--group", "Z^2", "--nmax", "3"),
+    ]
+    commands.append(commands[0])
+    fresh = []
+    for args in commands:
+        build_parser.cache_clear()
+        fresh.append(run_cli(capsys, *args))
+    build_parser.cache_clear()
+    reused = [run_cli(capsys, *args) for args in commands]
+    assert reused == fresh
+    assert all(code == 0 and out for code, out, _ in reused)
+    assert build_parser.cache_info().misses == 1
+    assert build_parser() is build_parser()
 
 
 def test_addition_check_lines(capsys):

@@ -11,6 +11,7 @@ from entrolen.folner import (
     default_scheme,
     exterior,
     interior,
+    nested_sets,
     verify_exhaustion,
     WordBalls,
 )
@@ -141,6 +142,19 @@ def test_verify_exhaustion_passes():
     assert verify_exhaustion(Boxes(Z), 20).ok
     assert verify_exhaustion(BoxTimesZ2(ZCrossZ2()), 10).ok
     assert verify_exhaustion(WordBalls(Heisenberg()), 6).ok
+
+
+@pytest.mark.parametrize("group", [Heisenberg(), Z2], ids=lambda g: g.name)
+def test_word_balls_grow_by_one_shells_pass(group, monkeypatch):
+    grown = [F for _, F in nested_sets(WordBalls(group), 9)]
+    assert grown == [ball(group, n) for n in range(10)]
+    # neither the grown windows nor the exhaustion check call ball again
+    def no_ball(*args):
+        raise AssertionError("ball regrown from the identity")
+
+    monkeypatch.setattr("entrolen.folner.ball", no_ball)
+    assert [F for _, F in nested_sets(WordBalls(group), 9)] == grown
+    assert verify_exhaustion(WordBalls(group), 9).ok
 
 
 class _BrokenScheme:

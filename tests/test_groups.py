@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -131,6 +133,49 @@ def test_translate_is_bijection(group):
         assert translate(group.inv(g), gA) == A
 
     run()
+
+
+SET_TRANSLATE_GROUPS = [FreeAbelian(d) for d in (1, 2, 3, 4)] + [ZZ2, H]
+
+
+def _random_element(rng, group):
+    if isinstance(group, ZCrossZ2):
+        return (rng.randint(-9, 9), rng.randint(0, 1))
+    return tuple(rng.randint(-9, 9) for _ in group.identity)
+
+
+@pytest.mark.parametrize("group", SET_TRANSLATE_GROUPS, ids=lambda g: g.name)
+def test_set_translates_match_elementwise_mul(group):
+    """Each group's set-level translates equal the per-element products;
+    on ZxZ2 half the sampled g carry the bit, so t + s wraps."""
+    rng = random.Random(f"set-translate-{group.name}")
+    for _ in range(40):
+        elems = {_random_element(rng, group) for _ in range(rng.randint(0, 12))}
+        g = _random_element(rng, group)
+        assert group.left_translate(g, elems) == {group.mul(g, a) for a in elems}
+        assert group.right_translate(g, elems) == {group.mul(a, g) for a in elems}
+        A = FiniteSubset(group, elems)
+        assert translate(g, A).elements == {group.mul(g, a) for a in elems}
+
+
+def test_heisenberg_left_and_right_translates_differ():
+    x, y = (1, 0, 0), (0, 1, 0)
+    assert H.left_translate(x, {y}) == {(1, 1, 1)}
+    assert H.right_translate(x, {y}) == {(1, 1, 0)}
+
+
+@pytest.mark.parametrize("group", SET_TRANSLATE_GROUPS, ids=lambda g: g.name)
+def test_translate_checks_g_once_at_the_boundary(group):
+    """The set-level translates check nothing per element, so
+    FiniteSubset.translate must reject a bad g before calling them."""
+    A = FiniteSubset(group, [group.identity, group.generators()[-1]])
+    e = group.identity
+    bad = [e + (0,), e[:-1], e[:-1] + (0.5,)]
+    if isinstance(group, ZCrossZ2):
+        bad.append((0, 2))
+    for g in bad:
+        with pytest.raises(ValueError):
+            A.translate(g)
 
 
 def test_set_product():
