@@ -71,7 +71,7 @@ def parse_presentation(path: str) -> SubshiftPresentation:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from None
     try:
         return parse_presentation_text(text)
@@ -185,7 +185,7 @@ def _load_config_file(path: str, command: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read config {path}: {exc}") from None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()

@@ -63,14 +63,6 @@ class CrossedElement:
     def one(cls, field, group) -> "CrossedElement":
         return cls._raw(field, group, {group.identity: field.one})
 
-    @classmethod
-    def monomial(cls, field, group, g, coeff=None) -> "CrossedElement":
-        group.check(g)
-        c = field.one if coeff is None else coeff
-        if not c:
-            return cls.zero(field, group)
-        return cls._raw(field, group, {g: c})
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -140,6 +132,24 @@ def _add_term(field, acc: dict, key, coeff):
         acc.pop(key, None)
 
 
+def _read_term(field, group, term: str, g_text: str, coeff_text: str, coord_text, rank):
+    """Key and coefficient of one term, from its group, coefficient and
+    coordinate texts; rank None means the term has no coordinate and the
+    key is g, else the key is the free-module label (g, coord - 1)."""
+    if rank is not None:
+        try:
+            coord = int(coord_text)
+        except ValueError:
+            raise ValueError(f"bad coordinate {coord_text!r} in {term!r}") from None
+        if not (1 <= coord <= rank):
+            raise ValueError(f"coordinate {coord} outside 1..{rank}")
+    coeff = field.parse(coeff_text)
+    g = parse_group_element(group, g_text)
+    if not coeff:
+        raise ValueError(f"zero coefficient in term {term!r}")
+    return (g if rank is None else (g, coord - 1)), coeff
+
+
 def _parse_terms(field, group, text: str, rank: int | None = None, col: int = 1) -> dict:
     """Sum the " + "-joined terms coeff*(g) of text, dropping exact zeros.
 
@@ -152,27 +162,20 @@ def _parse_terms(field, group, text: str, rank: int | None = None, col: int = 1)
     for raw in text.split(" + "):
         part = raw.strip()
         try:
-            body = part
+            body, coord_text = part, None
             if rank is not None:
-                body, bar, coord_str = part.rpartition("|")
+                body, bar, coord_text = part.rpartition("|")
                 if not bar:
                     raise ValueError(f"term {part!r} needs a |coord suffix")
-                try:
-                    coord = int(coord_str)
-                except ValueError:
-                    raise ValueError(f"bad coordinate {coord_str!r} in {part!r}") from None
-                if not (1 <= coord <= rank):
-                    raise ValueError(f"coordinate {coord} outside 1..{rank}")
             if "*(" not in body:
                 raise ValueError(f"bad term {part!r} (expected {shape})")
-            coeff_str, g_body = body.rsplit("*(", 1)
-            coeff = field.parse(coeff_str)
-            g = parse_group_element(group, "(" + g_body)
-            if not coeff:
-                raise ValueError(f"zero coefficient in term {part!r}")
+            coeff_text, g_body = body.rsplit("*(", 1)
+            key, coeff = _read_term(
+                field, group, part, "(" + g_body, coeff_text, coord_text, rank
+            )
         except ValueError as exc:
             raise ValueError(f"col {col + len(raw) - len(raw.lstrip())}: {exc}") from None
-        _add_term(field, out, g if rank is None else (g, coord - 1), coeff)
+        _add_term(field, out, key, coeff)
         col += len(raw) + len(" + ")
     return out
 
@@ -274,28 +277,25 @@ def cocycle_from_name(name: str, field, group) -> CocycleData:
     raise ValueError(f"unknown cocycle {name!r} (expected trivial or frobenius)")
 
 
+def _vector(x: CrossedElement) -> dict:
+    """x as a rank-1 free-module vector, with labels (g, 0)."""
+    return {(g, 0): c for g, c in x.terms.items()}
+
+
 def multiply(x: CrossedElement, y: CrossedElement, c: CocycleData) -> CrossedElement:
-    """Bilinear extension of the twisted single-symbol product rule."""
+    """Bilinear extension of the single-symbol rule: the sum over g of
+    x_g * act(g, y)."""
     x._require_same_ring(y)
     if c.field != x.field or c.group != x.group:
         raise ValueError("cocycle data does not match the operands' ring")
     F = x.field
-    group = x.group
-    mul_g = group.mul
     fmul = F.mul
-    plain = c.is_plain
-    one = F.one
+    y_vec = _vector(y)
     acc: dict = {}
     for g, r in x.terms.items():
-        exp = 0 if plain else c.sigma_exp(g)
-        for h, s in y.terms.items():
-            coeff = s if plain else F.apply_auto(s, exp)
-            if not plain:
-                u = c.rho(g, h)
-                if u != one:
-                    coeff = fmul(coeff, u)
-            _add_term(F, acc, mul_g(g, h), fmul(r, coeff))
-    return CrossedElement._raw(F, group, acc)
+        for (gh, _), a in act(g, y_vec, c).items():
+            _add_term(F, acc, gh, fmul(r, a))
+    return CrossedElement._raw(F, x.group, acc)
 
 
 def act(g, vec: dict, c: CocycleData) -> dict:
@@ -467,11 +467,11 @@ def find_annihilator(x: CrossedElement, c: CocycleData, window_radius: int):
         raise ValueError("window_radius must be >= 0")
     F = x.field
     group = x.group
+    x_vec = _vector(x)
     ech = Echelon(F)
     for shell in islice(shells(group, (group.identity,)), window_radius + 1):
         for g in sorted(shell):
-            gx = multiply(CrossedElement.monomial(F, group, g), x, c)
-            row = {(0, h): coeff for h, coeff in gx.terms.items()}
+            row = {(0, h): coeff for (h, _), coeff in act(g, x_vec, c).items()}
             row[(1, g)] = F.one
             piv = ech.add(row)
             if piv is not None and piv[0] == 1:

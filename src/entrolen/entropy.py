@@ -26,10 +26,8 @@ from .shift_modules import (
 )
 from .tiling import (
     _tiling_eps,
-    check_quasi_tiling,
     greedy_quasi_tile,
     ow_upper_bound,
-    TilingFailed,
 )
 
 
@@ -145,9 +143,9 @@ def certified_upper_bound(
     """Tile-ratio upper bound, conditional on verified tilings.
 
     The windows F_n for n from max(tile_indices) to n_check must each be
-    greedily tileable by the chosen Folner sets at the given eps, with the
-    independent checker accepting every construction; TilingFailed
-    propagates otherwise.  The bound is
+    greedily tileable by the chosen Folner sets at the given eps;
+    greedy_quasi_tile runs the independent checker on every construction,
+    and its TilingFailed propagates.  The bound is
 
         coeff_dim * eps + max_i (dim T_{F_{n_i}} / |F_{n_i}|) / (1 - eps)
 
@@ -163,11 +161,7 @@ def certified_upper_bound(
     tiles = [scheme.set_at(i) for i in indices]
     checked_from = max(indices)
     for n in range(checked_from, n_check + 1):
-        A = scheme.set_at(n)
-        tiling = greedy_quasi_tile(A, tiles, eps)
-        report = check_quasi_tiling(A, tiling)
-        if not report.passed:
-            raise TilingFailed(f"checker rejected tiling of window {n}: {report}")
+        greedy_quasi_tile(scheme.set_at(n), tiles, eps)
     coeff_dim = p.coefficient_span().dim
     dims = _trajectory_dims(p, zip(indices, tiles))
     ratios = [Fraction(dim, size) for _, size, dim in dims]

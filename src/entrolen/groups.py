@@ -278,14 +278,6 @@ class FiniteSubset:
         self._require_same_group(other)
         return FiniteSubset._raw(self.group, self.elements | other.elements)
 
-    def difference(self, other):
-        self._require_same_group(other)
-        return FiniteSubset._raw(self.group, self.elements - other.elements)
-
-    def intersection(self, other):
-        self._require_same_group(other)
-        return FiniteSubset._raw(self.group, self.elements & other.elements)
-
     def is_subset(self, other):
         self._require_same_group(other)
         return self.elements <= other.elements

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 from .crossed_product import (
     _add_term,
+    _read_term,
+    _vector,
     act,
     cocycle_from_name,
     CocycleData,
@@ -25,7 +27,6 @@ from .groups import (
     FiniteSubset,
     format_group_element,
     group_from_name,
-    parse_group_element,
     shells,
 )
 
@@ -114,9 +115,7 @@ def cyclic_presentation(cocycle: CocycleData, x: CrossedElement) -> SubshiftPres
         raise ValueError("x must be nonzero")
     if x.field != cocycle.field or x.group != cocycle.group:
         raise ValueError("element does not match the cocycle's ring")
-    return SubshiftPresentation(
-        cocycle, 1, [{(g, 0): c for g, c in x.terms.items()}]
-    )
+    return SubshiftPresentation(cocycle, 1, [_vector(x)])
 
 
 def _check_same_ambient(M: SubshiftPresentation, N: SubshiftPresentation):
@@ -276,7 +275,7 @@ def parse_presentation_text(text: str) -> SubshiftPresentation:
         if not line or line.startswith("#"):
             continue
         if "|" in line:
-            generator_lines.append((lineno, line))
+            generator_lines.append((lineno, raw))
             continue
         if "=" not in line:
             raise PresentationError(lineno, 1, f"expected key=value, got {line!r}")
@@ -323,39 +322,25 @@ def parse_presentation_text(text: str) -> SubshiftPresentation:
         col = 1
         for chunk in line.split(";"):
             piece = chunk.strip()
-            pos = line.find(piece) + 1
-            parts = piece.split("|")
-            if len(parts) != 3:
-                raise PresentationError(
-                    lineno, pos, f"expected (g)|coeff|coord, got {piece!r}"
-                )
-            g_str, coeff_str, coord_str = (q.strip() for q in parts)
+            pos = col + len(chunk) - len(chunk.lstrip())
             try:
-                g = parse_group_element(group, g_str)
-            except ValueError as exc:
-                raise PresentationError(lineno, pos, str(exc)) from None
-            try:
-                coeff = fld.parse(coeff_str)
-            except ValueError as exc:
-                raise PresentationError(lineno, pos, str(exc)) from None
-            if not coeff:
-                raise PresentationError(lineno, pos, "zero coefficient term")
-            try:
-                coord = int(coord_str)
+                g_text, coeff_text, coord_text = (q.strip() for q in piece.split("|"))
             except ValueError:
                 raise PresentationError(
-                    lineno, pos, f"bad coordinate {coord_str!r}"
+                    lineno, pos, f"expected (g)|coeff|coord, got {piece!r}"
                 ) from None
-            if not (1 <= coord <= rank):
-                raise PresentationError(
-                    lineno, pos, f"coordinate {coord} outside 1..{rank}"
+            try:
+                key, coeff = _read_term(
+                    fld, group, piece, g_text, coeff_text, coord_text, rank
                 )
+            except ValueError as exc:
+                raise PresentationError(lineno, pos, str(exc)) from None
             # duplicate keys: coefficients are summed, exact zeros dropped
-            _add_term(fld, vec, (g, coord - 1), coeff)
-            col = pos
+            _add_term(fld, vec, key, coeff)
+            col += len(chunk) + len(";")
         if not vec:
             raise PresentationError(
-                lineno, col, "generator vanishes after combining terms"
+                lineno, pos, "generator vanishes after combining terms"
             )
         generators.append(vec)
     return SubshiftPresentation(cocycle, rank, generators)

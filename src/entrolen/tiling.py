@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
 
-from .groups import FiniteSubset, set_product, translate
+from .groups import FiniteSubset, translate
 
 
 def _tiling_eps(eps) -> Fraction:
@@ -184,14 +184,14 @@ def check_quasi_tiling(A: FiniteSubset, t: QuasiTiling) -> TilingReport:
     for tile, centers in zip(t.tiles, t.centers):
         A._require_same_group(tile)
         A._require_same_group(centers)
-        placed = set_product(centers, tile)
+        translates = [translate(ctr, tile) for ctr in centers]
+        placed = set().union(*(T.elements for T in translates))
         regions.append(placed)
-        if len(centers) == 0:
+        if not translates:
             continue
-        if not placed.is_subset(A):
+        if not placed <= A.elements:
             cond1_ok = False
             continue
-        translates = [translate(ctr, tile) for ctr in centers]
         res = check_epsilon_disjoint(translates, eps)
         if not res.ok:
             cond1_ok = False
@@ -202,8 +202,8 @@ def check_quasi_tiling(A: FiniteSubset, t: QuasiTiling) -> TilingReport:
     overlap: set = set()
     union: set = set()
     for R in regions:
-        overlap |= union & R.elements
-        union |= R.elements
+        overlap |= union & R
+        union |= R
     cond2_ratio = Fraction(len(overlap), len(A))
     cond2_ok = not overlap
 
@@ -250,20 +250,17 @@ def greedy_quasi_tile(A: FiniteSubset, tiles, eps) -> QuasiTiling:
     order = sorted(range(len(tiles)), key=lambda i: -len(tiles[i]))
     placed_by_class: list[set] = [set() for _ in tiles]
     centers: list[list] = [[] for _ in tiles]
-    target = A.elements
+    left = A.group.left_translate
     for i in order:
-        tile = tiles[i]
+        tile = tiles[i].elements
         own = placed_by_class[i]
-        others: set = set()
-        for j, s in enumerate(placed_by_class):
-            if j != i:
-                others |= s
+        free = A.elements.difference(
+            *(s for j, s in enumerate(placed_by_class) if j != i)
+        )
         limit = eps * len(tile)
         for ctr in A:
-            cells = translate(ctr, tile).elements
-            if not cells <= target:
-                continue
-            if cells & others:
+            cells = left(ctr, tile)
+            if not cells <= free:
                 continue
             if len(cells & own) >= limit:
                 continue
@@ -313,10 +310,11 @@ def build_net(E: FiniteSubset, F: FiniteSubset, window: FiniteSubset) -> Net:
         raise ValueError("E must be nonempty")
     if window.group.identity not in window:
         raise ValueError("window must contain the identity")
+    left = window.group.left_translate
     occupied: set = set()
     points = []
     for g in window:
-        cells = translate(g, E).elements
+        cells = left(g, E.elements)
         if cells & occupied:
             continue
         points.append(g)
@@ -324,7 +322,7 @@ def build_net(E: FiniteSubset, F: FiniteSubset, window: FiniteSubset) -> Net:
     pts = FiniteSubset._raw(window.group, frozenset(points))
     covered_cells: set = set()
     for g in points:
-        covered_cells |= translate(g, F).elements
+        covered_cells |= left(g, F.elements)
     uncovered = FiniteSubset._raw(
         window.group, frozenset(window.elements - covered_cells)
     )

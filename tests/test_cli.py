@@ -279,6 +279,19 @@ def test_presentation_file_errors(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "flag, prefix",
+    [("--presentation", "cannot read"), ("--config", "cannot read config")],
+)
+def test_undecodable_files_are_named(tmp_path, capsys, flag, prefix):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"group=Z\xff\n")
+    code, out, err = run_cli(capsys, "entropy", flag, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {prefix} {path}: 'utf-8' codec can't decode")
+
+
+@pytest.mark.parametrize(
     "args, message",
     [
         (["entropy", "--gen", "1*(0)|1 + 1*(x)|1"],

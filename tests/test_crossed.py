@@ -23,6 +23,7 @@ from linalg_reference import span_dim
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)
 GF4 = QuadraticField(2)
+GF5 = PrimeField(5)
 Z = FreeAbelian(1)
 ZZ2 = ZCrossZ2()
 W = GF4.make(0, 1)
@@ -105,7 +106,7 @@ def test_builtin_cocycle_labels_cannot_be_forged():
     mine = CocycleData(GF4, Z, frob.sigma_exp, frob.rho, label="mine")
     assert not mine.is_plain
     x = parse_element(GF4, Z, "1*(1)")
-    y = CrossedElement.monomial(GF4, Z, (0,), W)
+    y = CrossedElement(GF4, Z, {(0,): W})
     assert multiply(x, y, mine) == multiply(x, y, frob)
     assert format_element(multiply(x, y, mine)) == "1+1*w*(1)"
     # and equals only itself, whatever its label
@@ -199,6 +200,52 @@ def test_find_annihilator_none_for_unit():
     assert find_annihilator(x, c, 4) is None
     with pytest.raises(ValueError):
         find_annihilator(CrossedElement.zero(GF4, Z), c, 2)
+
+
+def _coboundary_cocycle(group):
+    """sigma trivial and rho(g, h) = f(g) f(h) f(gh)^-1 over GF(5), with
+    f(g) = 2^(g.g): a valid cocycle whose rho takes values other than 1.
+    phi(x) = sum f(g) x_g g is a ring isomorphism onto the untwisted ring."""
+
+    def f(g):
+        return pow(2, sum(a * a for a in g), 5)
+
+    def rho(g, h):
+        return GF5.mul(GF5.mul(f(g), f(h)), GF5.inv(f(group.mul(g, h))))
+
+    def phi(x):
+        return CrossedElement(GF5, group, {g: GF5.mul(f(g), a) for g, a in x.terms.items()})
+
+    return CocycleData(GF5, group, lambda g: 0, rho, label="coboundary"), phi
+
+
+@pytest.mark.parametrize("group", [Z, ZZ2], ids=["Z", "ZxZ2"])
+def test_coboundary_twist_transports_to_the_plain_product(group):
+    c, phi = _coboundary_cocycle(group)
+    plain = trivial_cocycle(GF5, group)
+    assert validate_cocycle(c).ok
+    supp = ball(group, 1).sorted_elements()
+    assert any(c.rho(g, h) != GF5.one for g in supp for h in supp)
+    rng = random.Random(11)
+
+    def sample():
+        terms = {g: rng.randrange(1, 5) for g in supp if rng.random() < 0.6}
+        return CrossedElement(GF5, group, terms or {group.identity: 1})
+
+    elems = [sample() for _ in range(24)]
+    if group == ZZ2:  # 1 + u*s: twisted zero divisor iff u is 2 or 3
+        elems += [parse_element(GF5, group, f"1*(0,0) + {u}*(0,1)") for u in range(1, 5)]
+    for x, y in zip(elems, elems[1:] + elems[:1]):
+        assert phi(multiply(x, y, c)) == multiply(phi(x), phi(y), plain)
+    witnesses = 0
+    for x in elems:
+        y = find_annihilator(x, c, 2)
+        y_plain = find_annihilator(phi(x), plain, 2)
+        assert (y is None) == (y_plain is None)
+        if y is not None:
+            witnesses += 1
+            assert multiply(phi(y), phi(x), plain).is_zero()
+    assert witnesses == (2 if group == ZZ2 else 0)
 
 
 def test_direct_finiteness_witnesses():

@@ -220,6 +220,24 @@ def test_parse_errors(text, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "line,col,fragment",
+    [
+        ("(0)|1|1;(0)|1|", 9, "bad coordinate '' in '(0)|1|'"),
+        ("(0)|1|1; (0)|1|", 10, "bad coordinate '' in '(0)|1|'"),
+        ("(0)|1|1;(0)|0|1", 9, "zero coefficient in term '(0)|0|1'"),
+        ("(0)|1|1;(1)|1|1;(0)|1|1;(1)|1|1", 25, "vanishes"),
+        ("(1)|1|1 ; (0)|1", 11, "expected (g)|coeff|coord"),
+        ("  (5)|0|1", 3, "zero coefficient in term '(5)|0|1'"),
+    ],
+)
+def test_file_term_errors_name_their_column(line, col, fragment):
+    with pytest.raises(PresentationError) as err:
+        parse_presentation_text(f"group=Z\nfield=gf2\nrank=1\n{line}\n")
+    assert (err.value.line, err.value.col) == (4, col)
+    assert fragment in err.value.message
+
+
 def test_parse_error_location():
     with pytest.raises(PresentationError) as err:
         parse_presentation_text("group=Z\nfield=gf2\nrank=1\n(0)|1|1;(5)|0|1\n")
