@@ -9,8 +9,9 @@ Usage: python3 scripts/folner_decay.py [n_max]
 
 import sys
 from fractions import Fraction
+from itertools import islice
 
-from entrolen.folner import boundary, default_scheme
+from entrolen.folner import boundary, default_scheme, nested_sets
 from entrolen.groups import ball, FreeAbelian, Heisenberg, ZCrossZ2
 
 
@@ -21,8 +22,7 @@ def main():
         C = ball(group, 1)
         print(f"# group={group.name} scheme={scheme.name} C=ball(1)")
         print("n,folner_size,boundary_size,ratio")
-        for n in range(1, n_max + 1):
-            F = scheme.set_at(n)
+        for n, F in islice(nested_sets(scheme, n_max), 1, None):
             b = len(boundary(F, C))
             r = Fraction(b, len(F))
             print(f"{n},{len(F)},{b},{r.numerator}/{r.denominator}")

@@ -250,7 +250,11 @@ def serialize_presentation(p: SubshiftPresentation) -> str:
 
     Header lines group=, field=, cocycle=, rank=, then one generator per
     line as ;-joined triples (g)|coeff|coord with 1-based coordinates.
+    The cocycle= header names only rho identically 1, so a presentation
+    with a caller-supplied rho is refused.
     """
+    if p.cocycle.rho is not None:
+        raise ValueError("cannot serialize a cocycle with a caller-supplied rho")
     lines = [
         f"group={p.group.name}",
         f"field={p.field.name}",

@@ -231,7 +231,7 @@ def test_criterion_08_cocycle_validation():
     def bad_rho(g, h):
         return w if (g, h) == (Z.identity, g0) else GF4.one
 
-    bad = CocycleData(GF4, Z, frob.sigma_exp, bad_rho)
+    bad = CocycleData(GF4, Z, frobenius=True, rho=bad_rho)
     bad_rep = validate_cocycle(bad, budget, SEED)
     ok = ok and not bad_rep.ok
     ok = ok and "rho(e, g)" in bad_rep.failure and "(1)" in bad_rep.failure

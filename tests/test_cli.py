@@ -48,6 +48,25 @@ def test_entropy_with_certification(capsys):
     assert "certified_windows=5..5" in out
 
 
+def test_certification_budget_exit(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "entropy",
+        "--group", "Z",
+        "--field", "gf2",
+        "--rank", "1",
+        "--gen", "1*(0)|1",
+        "--nmax", "6",
+        "--certify-eps", "1/10",
+        "--tiles", "5",
+        "--ncheck", "6",
+    )
+    assert (code, err) == (3, "")
+    assert out.splitlines() == ["n,folner_size,trajectory_dim,ratio"] + [
+        f"{n},{2 * n + 1},{2 * n + 1},1/1" for n in range(1, 7)
+    ] + ["certified_upper=unavailable (greedy cover 11/13 below required 9/10)"]
+
+
 def test_quotient_entropy(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -90,7 +90,7 @@ def test_validate_mutated_rho_fails_with_witness():
             return W
         return GF4.one
 
-    bad = CocycleData(GF4, Z, base.sigma_exp, bad_rho)
+    bad = CocycleData(GF4, Z, frobenius=True, rho=bad_rho)
     report = validate_cocycle(bad)
     assert not report.ok
     assert "rho(e, g)" in report.failure
@@ -99,20 +99,83 @@ def test_validate_mutated_rho_fails_with_witness():
 
 def test_builtin_cocycle_labels_cannot_be_forged():
     frob = frobenius_cocycle(GF4, Z)
-    for label in ("trivial", "frobenius"):
-        with pytest.raises(ValueError):
-            CocycleData(GF4, Z, frob.sigma_exp, frob.rho, label=label)
-    # any other caller-built cocycle takes the twisted path
-    mine = CocycleData(GF4, Z, frob.sigma_exp, frob.rho, label="mine")
+    # a caller-supplied rho takes the twisted path, even one that is always 1
+    mine = CocycleData(GF4, Z, frobenius=True, rho=lambda g, h: GF4.one)
     assert not mine.is_plain
     x = parse_element(GF4, Z, "1*(1)")
     y = CrossedElement(GF4, Z, {(0,): W})
     assert multiply(x, y, mine) == multiply(x, y, frob)
     assert format_element(multiply(x, y, mine)) == "1+1*w*(1)"
-    # and equals only itself, whatever its label
+    # equality and the label are read off the data (frobenius, rho)
     assert mine == mine and mine != frob
-    assert mine != CocycleData(GF4, Z, frob.sigma_exp, frob.rho, label="mine")
+    assert mine != CocycleData(GF4, Z, frobenius=True, rho=lambda g, h: GF4.one)
+    assert mine == CocycleData(GF4, Z, frobenius=True, rho=mine.rho)
+    assert (mine.label, frob.label) == ("custom", "frobenius")
+    assert CocycleData(GF4, Z, frobenius=True) == frob and not frob.is_plain
+    assert CocycleData(GF4, Z) == trivial_cocycle(GF4, Z)
+    assert CocycleData(GF4, Z).is_plain and CocycleData(GF4, Z).label == "trivial"
     assert trivial_cocycle(GF4, Z) == trivial_cocycle(GF4, Z)
+
+
+def _rho_with(value, g0, h0):
+    """rho over GF(3) that is value at (g0, h0) and 1 elsewhere."""
+    return lambda g, h: value if (g, h) == (g0, h0) else GF3.one
+
+
+@pytest.mark.parametrize(
+    "rho,budget,failure,triples,assoc",
+    [
+        (_rho_with(2, (1,), (0,)), 2000, "rho(g, e) != 1 at g=(1)", 0, 0),
+        (
+            _rho_with(2, (1,), (1,)),
+            2000,
+            "cocycle identity fails at ((-2), (1), (1))",
+            19,
+            0,
+        ),
+        (
+            _rho_with(2, (1,), (1,)),
+            1,
+            "associativity fails on sampled elements (sample 1)",
+            1,
+            2,
+        ),
+    ],
+    ids=["unit-right", "cocycle-identity", "associativity"],
+)
+def test_validate_failure_branches(rho, budget, failure, triples, assoc):
+    report = validate_cocycle(CocycleData(GF3, Z, rho=rho), budget)
+    assert not report.ok
+    assert report.failure == failure
+    assert (report.triples_checked, report.associativity_checked) == (triples, assoc)
+
+
+def test_validate_non_unit_rho_fails_without_crashing():
+    e = Z.identity
+
+    def rho(g, h):  # satisfies the cocycle identity but vanishes off e
+        return GF3.one if e in (g, h) else GF3.zero
+
+    report = validate_cocycle(CocycleData(GF3, Z, rho=rho))
+    assert not report.ok
+    assert report.failure == "rho is not a unit at ((-2), (-2))"
+    assert report.triples_checked == len(ball(Z, 2)) ** 3
+
+
+@pytest.mark.parametrize(
+    "group",
+    [FreeAbelian(1), FreeAbelian(2), FreeAbelian(3), ZZ2, Heisenberg()],
+    ids=lambda g: g.name,
+)
+def test_frobenius_degree_is_a_homomorphism_mod_2(group):
+    # validate_cocycle samples neither sigma(e) = id nor the automorphism
+    # compatibility; both rest on this premise
+    sigma_exp = frobenius_cocycle(GF4, group).sigma_exp
+    assert sigma_exp(group.identity) == 0
+    B = ball(group, 2).sorted_elements()
+    for g in B:
+        for h in B:
+            assert (sigma_exp(group.mul(g, h)) - sigma_exp(g) - sigma_exp(h)) % 2 == 0
 
 
 def test_frobenius_needs_quadratic_field():
@@ -216,7 +279,7 @@ def _coboundary_cocycle(group):
     def phi(x):
         return CrossedElement(GF5, group, {g: GF5.mul(f(g), a) for g, a in x.terms.items()})
 
-    return CocycleData(GF5, group, lambda g: 0, rho, label="coboundary"), phi
+    return CocycleData(GF5, group, rho=rho), phi
 
 
 @pytest.mark.parametrize("group", [Z, ZZ2], ids=["Z", "ZxZ2"])

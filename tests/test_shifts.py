@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from entrolen.crossed_product import parse_element, trivial_cocycle
+from entrolen.crossed_product import CocycleData, parse_element, trivial_cocycle
 from entrolen.exact_linalg import PrimeField, span
 from entrolen.folner import Boxes, BoxTimesZ2
 from entrolen.groups import FiniteSubset, FreeAbelian, ZCrossZ2
@@ -187,6 +187,26 @@ def test_serialize_parse_roundtrip():
     assert serialize_presentation(q) == text
 
 
+def test_serialize_writes_only_what_parse_reads():
+    def f(g):
+        return 2 if g == (1,) else 1
+
+    def rho(g, h):  # a coboundary: a valid cocycle the cocycle= header cannot name
+        return GF3.mul(GF3.mul(f(g), f(h)), GF3.inv(f(Z.mul(g, h))))
+
+    assert rho((1,), (-1,)) == 2
+    gens = [{((0,), 0): 1, ((1,), 0): 2}]
+    twisted = SubshiftPresentation(CocycleData(GF3, Z, rho=rho), 1, gens)
+    with pytest.raises(ValueError, match="rho"):
+        serialize_presentation(twisted)
+    p = SubshiftPresentation(CocycleData(GF3, Z), 1, gens)
+    text = serialize_presentation(p)
+    assert "cocycle=trivial\n" in text
+    q = parse_presentation_text(text)
+    assert q == p and q.cocycle == CZ3
+    assert serialize_presentation(q) == text
+
+
 def test_parse_headers_and_defaults():
     p = parse_presentation_text("group=Z\nfield=gf3\nrank=1\n(0)|1|1\n")
     assert p.cocycle.label == "trivial"
@@ -212,6 +232,17 @@ def test_parse_duplicate_keys_summed():
         ("group=Z\nrank=1\n(0)|1|1\n", "missing header"),
         ("group=Z\nfield=gf2\nrank=1\nvolume=3\n(0)|1|1\n", "unknown header"),
         ("group=Z\nfield=gf3\ncocycle=frobenius\nrank=1\n(0)|1|1\n", "quadratic"),
+        (
+            "group=Z\nfield=gf2\ngroup=Z\nrank=1\n(0)|1|1\n",
+            "line 3, col 1: duplicate header 'group'",
+        ),
+        ("field=gf2\ngroup=Q\nrank=1\n(0)|1|1\n", "line 2, col 1: unknown group 'Q'"),
+        (
+            "# header\ngroup=Z\nrank=1\nfield=gf6\n(0)|1|1\n",
+            "line 4, col 1: unsupported field size 6",
+        ),
+        ("rank=x\ngroup=Z\nfield=gf2\n(0)|1|1\n", "line 1, col 1: bad rank 'x'"),
+        ("group=Z\nfield=gf2\nrank=0\n(0)|1|1\n", "line 3, col 1: rank must be >= 1"),
     ],
 )
 def test_parse_errors(text, fragment):
