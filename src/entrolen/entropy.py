@@ -218,6 +218,8 @@ def addition_check(
     check here: _quotient_split raises when it fails.
     """
     tol = Fraction(tol)
+    if tol < 0:
+        raise ValueError("tol must be >= 0")
     coeff_M = M.coefficient_span()
     gens_inside = all(coeff_M.contains(w) for w in N.generators)
     windows = []

@@ -4,8 +4,9 @@ Fields: GF(p), the quadratic extension GF(p^2) with its Frobenius
 automorphism, and the rationals.  Field elements are plain values (small
 ints for the finite fields, Fraction for the rationals) and every zero
 element is falsy; the field object supplies the operations, so vectors
-stay lightweight dicts from column labels to nonzero coefficients.  Over
-GF(2), rank_echelon packs them into int rows for the dimension-only paths.
+stay lightweight dicts from column labels to nonzero coefficients.  For the
+dimension-only paths, rank_echelon packs them into int rows over GF(2) and
+into pairs of int bit planes over GF(3) and GF(4).
 
 Column labels may be any mutually orderable hashable values.  Subspaces
 expose the reduced row echelon basis, which is unique for a given row
@@ -375,52 +376,147 @@ class Gf2Echelon:
     """GF(2) rows packed into ints and combined by XOR, for dimensions and
     reduce-to-zero verdicts (M4RI without its Gray-code tables).  A label's
     bit is its order of first appearance in the table that sibling echelons
-    share, and a row's pivot is its highest bit."""
+    share, and a row's pivot is its highest bit, with coefficient 1.
 
-    __slots__ = ("bits", "rows", "pivots")
+    Before the first reduce after an add, each row is reduced against the
+    rows with lower pivots, in increasing pivot order, so that no row holds
+    another pivot bit; a normal form then costs one row operation per pivot
+    bit of its input.  The rows stay an echelon, so add works unchanged.
+    PlaneEchelon keeps all of this and changes only the row format."""
+
+    __slots__ = ("bits", "rows", "pivots", "solved")
 
     def __init__(self, bits=None):
         self.bits = {} if bits is None else bits
         self.rows: dict = {}
         self.pivots = 0  # the mask of all pivot bits
+        self.solved = True  # no row holds a pivot bit but its own
 
     dim = Echelon.dim
 
     def sibling(self) -> "Gf2Echelon":
         return Gf2Echelon(self.bits)
 
-    def pack(self, vec: dict) -> int:
+    # The row format.  _sub(x, row, bit) is x minus x's coefficient at bit
+    # times row, whose pivot is bit; _unit(x, bit) scales x to 1 at bit.
+    _row = staticmethod(lambda lo, hi: lo)  # every nonzero coefficient is 1
+    _support = staticmethod(lambda x: x)
+    _sub = staticmethod(lambda x, row, bit: x ^ row)
+    _unit = staticmethod(lambda x, bit: x)
+
+    def pack(self, vec: dict):
+        """The packed row of vec: bit 0 and bit 1 of each coefficient go
+        to the label's bit of two planes, which _row combines."""
         bits = self.bits
-        x = 0
-        for lbl in vec:  # every nonzero GF(2) coefficient is 1
+        lo = hi = 0
+        for lbl, v in vec.items():
             b = bits.get(lbl)
             if b is None:
                 b = bits[lbl] = len(bits)
-            x |= 1 << b
+            if v == 1:  # the only case over GF(2)
+                lo |= 1 << b
+            else:
+                hi |= 1 << b
+                if v == 3:
+                    lo |= 1 << b
+        return self._row(lo, hi)
+
+    def _eliminate(self, x, hit: int):
+        """Subtract from x the rows whose pivot bits are set in hit; each
+        row must hold no pivot bit of hit but its own."""
+        rows, sub = self.rows, self._sub
+        while hit:
+            top = hit.bit_length() - 1
+            x = sub(x, rows[top], top)
+            hit ^= 1 << top
         return x
 
-    def reduce(self, x: int) -> int:
+    def reduce(self, x):
         """The full normal form: no pivot bit is left set."""
-        while hit := x & self.pivots:
-            x ^= self.rows[hit.bit_length() - 1]
-        return x
+        if not self.solved:
+            rows, support, pivots = self.rows, self._support, self.pivots
+            for piv in sorted(rows):
+                row = rows[piv]
+                rows[piv] = self._eliminate(row, support(row) & pivots ^ 1 << piv)
+            self.solved = True
+        return self._eliminate(x, self._support(x) & self.pivots)
 
-    def add(self, x: int):
+    def add(self, x):
         """Echelon.add on a packed row; the pivot returned is a bit."""
-        rows = self.rows
-        while x and (top := x.bit_length() - 1) in rows:
-            x ^= rows[top]
-        if not x:
+        rows, support, sub = self.rows, self._support, self._sub
+        while (s := support(x)) and (top := s.bit_length() - 1) in rows:
+            x = sub(x, rows[top], top)
+        if not s:
             return None
-        rows[top] = x
+        rows[top] = self._unit(x, top)
         self.pivots |= 1 << top
+        self.solved = False
         return top
+
+
+def _gf3_sub(x, row, bit):
+    """x - c*row on one-hot planes (ones, twos) for c = x's coefficient at
+    bit: one bitsliced addition of row (c = 2) or of -row (c = 1)."""
+    a1, a2 = x
+    b1, b2 = row if a2 >> bit & 1 else row[::-1]
+    t = (a1 | b2) ^ (a2 | b1)
+    return (a2 | b2) ^ t, (a1 | b1) ^ t
+
+
+def _gf3_unit(x, bit):
+    return x[::-1] if x[1] >> bit & 1 else x  # times 2 = -1 swaps the planes
+
+
+def _gf4_sub(x, row, bit):
+    """x + c*row on planes (a, b) of a + b*w, w^2 = w + 1, for c = x's
+    coefficient at bit: w*r = (rb, ra^rb) and (1+w)*r = (ra^rb, ra)."""
+    xa, xb = x
+    ra, rb = row
+    if xb >> bit & 1:
+        ra, rb = (ra ^ rb, ra) if xa >> bit & 1 else (rb, ra ^ rb)
+    return xa ^ ra, xb ^ rb
+
+
+def _gf4_unit(x, bit):
+    a, b = x
+    if not b >> bit & 1:
+        return x
+    # times w = (1+w)^-1 when the coefficient is 1+w, else times 1+w = w^-1
+    return (b, a ^ b) if a >> bit & 1 else (a ^ b, a)
+
+
+class PlaneEchelon(Gf2Echelon):
+    """Gf2Echelon over GF(3) or GF(4), a row held on two bit planes
+    (Boothby and Bradshaw's bitslicing): one-hot (ones, twos) over GF(3),
+    (a, b) of a + b*w over GF(4), where the field value 2 is w."""
+
+    __slots__ = ("field", "_sub", "_unit")
+
+    def __init__(self, field, bits=None):
+        super().__init__(bits)
+        self.field = field
+        self._sub, self._unit = _PLANE_OPS[field]
+
+    def sibling(self) -> "PlaneEchelon":
+        return PlaneEchelon(self.field, self.bits)
+
+    _row = staticmethod(lambda lo, hi: (lo, hi))
+    _support = staticmethod(lambda x: x[0] | x[1])
+
+
+_PLANE_OPS = {
+    PrimeField(3): (_gf3_sub, _gf3_unit),
+    QuadraticField(2): (_gf4_sub, _gf4_unit),
+}
 
 
 def rank_echelon(field):
     """An empty echelon for dimensions and reduce-to-zero verdicts only:
-    GF(2) gets the int-row kernel, every other field the dict Echelon."""
-    return Gf2Echelon() if field == PrimeField(2) else Echelon(field)
+    GF(2) gets int rows, GF(3) and GF(4) two-plane rows, and every other
+    field the dict Echelon."""
+    if field == PrimeField(2):
+        return Gf2Echelon()
+    return PlaneEchelon(field) if field in _PLANE_OPS else Echelon(field)
 
 
 class Subspace:

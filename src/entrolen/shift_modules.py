@@ -220,7 +220,8 @@ def _quotient_split(
         if steps == approx.max_steps:
             break
 
-    image = ech_T.sibling()
+    # T + V is no longer needed: free its rows, as wide as their pivots
+    image, ech_T = ech_T.sibling(), None
     for x in translates:
         image.add(ech_N.reduce(x))
     dim_image = image.dim

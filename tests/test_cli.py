@@ -175,6 +175,26 @@ def test_addition_check_lines(capsys):
     assert "pass=true" in out
 
 
+@pytest.mark.parametrize("tol, code", [("-1", 2), ("0", 0)])
+def test_addition_check_rejects_a_negative_tolerance(capsys, tol, code):
+    got, out, err = run_cli(
+        capsys,
+        "addition-check",
+        "--group", "ZxZ2",
+        "--field", "gf3",
+        "--rank", "1",
+        "--gen", "1*(0,0)|1",
+        "--ngen", "1*(0,0)|1 + 1*(0,1)|1",
+        "--nmax", "6",
+        "--tol", tol,
+    )
+    assert got == code
+    if code:
+        assert out == "" and err == "error: tol must be >= 0\n"
+    else:
+        assert "tolerance=0/1" in out and "pass=true" in out
+
+
 def test_zerodiv_verdicts(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -13,6 +13,7 @@ from entrolen.exact_linalg import (
     field_from_name,
     Gf2Echelon,
     intersect,
+    PlaneEchelon,
     PrimeField,
     QuadraticField,
     RationalField,
@@ -287,64 +288,115 @@ def test_inv_of_zero_raises():
             field.inv(field.zero)
 
 
-def _xor(vectors):
+def _nonzero(rng, field):
+    return rng.randrange(1, len(field.elements()))
+
+
+def _combination(field, terms):
+    """The sum of c*vec over the (c, vec) pairs in terms."""
     out = {}
-    for vec in vectors:
-        for lbl in vec:
-            if out.pop(lbl, None) is None:
-                out[lbl] = 1
+    for c, vec in terms:
+        for lbl, v in vec.items():
+            s = field.add(out.get(lbl, field.zero), field.mul(c, v))
+            if s:
+                out[lbl] = s
+            else:
+                del out[lbl]
     return out
 
 
-def _gf2_growth(rng, group):
-    """Sparse GF(2) vectors over (g, j) labels on balls of radius 1, 2, 3
-    in turn, so labels keep arriving as on nested windows; about one
-    vector in three is a sum of earlier ones and lies in their span."""
+def _random_combination(rng, field, vecs):
+    return _combination(field, [(_nonzero(rng, field), vec) for vec in vecs])
+
+
+def _growth(rng, group, field):
+    """Sparse vectors over (g, j) labels on balls of radius 1, 2, 3 in turn,
+    so labels keep arriving as on nested windows; about one vector in three
+    is a combination of earlier ones and lies in their span."""
     vecs = []
     for radius in (1, 2, 3):
         labels = [(g, j) for g in ball(group, radius).sorted_elements() for j in (0, 1)]
         for _ in range(rng.randint(4, 12)):
             if vecs and rng.random() < 1 / 3:
-                vecs.append(_xor(rng.sample(vecs, rng.randint(1, min(3, len(vecs))))))
+                picked = rng.sample(vecs, rng.randint(1, min(3, len(vecs))))
+                vecs.append(_random_combination(rng, field, picked))
             else:
-                vecs.append({l: 1 for l in rng.sample(labels, rng.randint(1, 4))})
+                support = rng.sample(labels, rng.randint(1, 4))
+                vecs.append({l: _nonzero(rng, field) for l in support})
     return vecs
 
 
+def _support(x):
+    """The label bits of a packed row: an int, or a pair of bit planes."""
+    return x if isinstance(x, int) else x[0] | x[1]
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, GF4], ids=lambda f: f.name)
 @pytest.mark.parametrize(
     "group",
     [FreeAbelian(1), FreeAbelian(2), ZCrossZ2(), Heisenberg()],
     ids=lambda g: g.name,
 )
-def test_gf2_kernel_matches_dict_echelon(group):
+def test_int_kernels_match_dict_echelon(group, field):
     rng = random.Random(61)
     for _ in range(15):
-        vecs = _gf2_growth(rng, group)
-        fast, ref = rank_echelon(GF2), Echelon(GF2)
-        for vec in vecs:
-            assert (fast.add(fast.pack(vec)) is None) == (ref.add(vec) is None)
-            assert fast.dim == ref.dim
-        probes = _gf2_growth(rng, group) + [_xor(rng.sample(vecs, 2)) for _ in range(10)]
-        for vec in probes:
-            rem = fast.reduce(fast.pack(vec))
-            assert (rem == 0) == (not ref.reduce(vec))
-            assert rem & fast.pivots == 0  # the full normal form
-            # one normal form per coset
-            assert fast.reduce(fast.pack(_xor([vec, rng.choice(vecs)]))) == rem
+        vecs = _growth(rng, group, field)
+        fast, ref = rank_echelon(field), Echelon(field)
+        assert type(fast) is not Echelon
+        # normal forms are taken after half of the inserts and again after
+        # the rest, so rows back-substituted once must be redone after add
+        done = 0
+        for stop in (len(vecs) // 2, len(vecs)):
+            for vec in vecs[done:stop]:
+                assert (fast.add(fast.pack(vec)) is None) == (ref.add(vec) is None)
+                assert fast.dim == ref.dim
+            done, added = stop, vecs[:stop]
+            probes = _growth(rng, group, field) + [
+                _random_combination(rng, field, rng.sample(added, 2)) for _ in range(10)
+            ]
+            for vec in probes:
+                rem = fast.reduce(fast.pack(vec))
+                assert (_support(rem) == 0) == (not ref.reduce(vec))
+                assert _support(rem) & fast.pivots == 0  # the full normal form
+                # one normal form per coset: vec + c*v for v in the span
+                shifted = [(1, vec), (_nonzero(rng, field), rng.choice(added))]
+                assert fast.reduce(fast.pack(_combination(field, shifted))) == rem
         # the reduced rows of U modulo V span (U + V) / V in a sibling that
         # packs with V's label bits
         cut = rng.randint(0, len(vecs))
-        V = rank_echelon(GF2)
+        V = rank_echelon(field)
         for vec in vecs[:cut]:
             V.add(V.pack(vec))
         image = V.sibling()
         for vec in probes:
             image.add(V.reduce(image.pack(vec)))
-        assert image.dim == quotient_dim(span(GF2, probes), span(GF2, vecs[:cut]))
+        assert image.dim == quotient_dim(span(field, probes), span(field, vecs[:cut]))
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, GF4], ids=lambda f: f.name)
+def test_int_row_steps_are_field_arithmetic(field):
+    """The packed row step x - x1*row and the normalization x / x1, for
+    rows and x on two labels with every coefficient; over GF(3) label 0
+    sees all nine sums of the bitsliced addition."""
+    ech = rank_echelon(field)
+    ech.pack({0: 1, 1: 1})  # label 0 gets bit 0, label 1 bit 1
+
+    def pack(vec):  # sparse vectors hold no zero coefficient
+        return ech.pack({l: v for l, v in vec.items() if v})
+
+    elems = list(field.elements())
+    for r0, x0, x1 in itertools.product(elems, elems, elems[1:]):
+        row, x = pack({0: r0, 1: 1}), pack({0: x0, 1: x1})
+        assert ech._sub(x, row, 1) == pack({0: field.submul(x0, x1, r0)})
+        assert ech._unit(x, 1) == pack({0: field.mul(field.inv(x1), x0), 1: 1})
 
 
 def test_rank_echelon_picks_the_kernel_by_field():
     assert type(rank_echelon(GF2)) is Gf2Echelon
-    for field in (GF3, GF4, QQ):
+    for field in (GF3, GF4):
+        ech = rank_echelon(field)
+        assert type(ech) is PlaneEchelon and ech.field == field
+        assert ech.sibling().bits is ech.bits
+    for field in (GF5, GF9, QQ):
         ech = rank_echelon(field)
         assert type(ech) is Echelon and ech.field == field

@@ -2,10 +2,16 @@ import random
 
 import pytest
 
-from entrolen.crossed_product import CocycleData, parse_element, trivial_cocycle
-from entrolen.exact_linalg import PrimeField, span
+from entrolen import shift_modules
+from entrolen.crossed_product import (
+    CocycleData,
+    frobenius_cocycle,
+    parse_element,
+    trivial_cocycle,
+)
+from entrolen.exact_linalg import Echelon, PrimeField, QuadraticField, span
 from entrolen.folner import Boxes, BoxTimesZ2
-from entrolen.groups import FiniteSubset, FreeAbelian, ZCrossZ2
+from entrolen.groups import ball, FiniteSubset, FreeAbelian, Heisenberg, ZCrossZ2
 from entrolen.shift_modules import (
     bernoulli,
     cyclic_presentation,
@@ -124,6 +130,44 @@ def test_ses_dims_empty_window():
     q = ses_dims(M, N, FiniteSubset(Z, []))
     assert (q.dim_total, q.dim_intersection, q.dim_image) == (0, 0, 0)
     assert q.stabilized and q.steps == 3
+
+
+def _random_presentation(rng, cocycle, rank):
+    """One to three generators on the radius-1 ball with random nonzero
+    coefficients."""
+    field, support = cocycle.field, ball(cocycle.group, 1).sorted_elements()
+    labels = [(g, j) for g in support for j in range(rank)]
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        support = rng.sample(labels, rng.randint(1, 4))
+        gens.append({l: rng.randrange(1, len(field.elements())) for l in support})
+    return SubshiftPresentation(cocycle, rank, gens)
+
+
+@pytest.mark.parametrize(
+    "cocycle, radii",
+    [
+        (trivial_cocycle(GF3, FreeAbelian(2)), (1, 3)),
+        (trivial_cocycle(GF3, ZZ2), (2, 6)),
+        (frobenius_cocycle(QuadraticField(2), Z), (3, 9)),
+        (trivial_cocycle(GF3, Heisenberg()), (1, 2)),
+    ],
+    ids=["gf3-Z^2", "gf3-ZxZ2", "gf4-Z-frobenius", "gf3-Heisenberg"],
+)
+def test_quotient_split_matches_the_dict_kernel(monkeypatch, cocycle, radii):
+    rng = random.Random(29)
+    budgets = (None, StabilizationConfig(stability_window=2, max_steps=1))
+    for _ in range(4):
+        rank = rng.randint(1, 2)
+        M = _random_presentation(rng, cocycle, rank)
+        N = _random_presentation(rng, cocycle, rank)
+        for n in radii:
+            for approx in budgets:
+                F = ball(cocycle.group, n)
+                fast = ses_dims(M, N, F, approx)
+                with monkeypatch.context() as m:
+                    m.setattr(shift_modules, "rank_echelon", Echelon)
+                    assert ses_dims(M, N, F, approx) == fast
 
 
 def test_stabilization_config_validation():
