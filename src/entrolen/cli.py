@@ -238,6 +238,12 @@ class RunConfig:
             raise CliError(f"missing required option --{key.replace('_', '-')}")
         return self.values[key]
 
+    def refuse(self, keys, path: str):
+        """Exit 2 on the given options among keys, which path never reads."""
+        given = [f"--{k.replace('_', '-')}" for k in keys if k in self.values]
+        if given:
+            raise CliError(f"{path} never reads {', '.join(given)}")
+
     def group(self):
         return group_from_name(self.require("group"))
 
@@ -260,6 +266,7 @@ class RunConfig:
     def presentation(self):
         path = self.get("presentation")
         if path is not None:
+            self.refuse(("group", "field", "cocycle", "rank", "gen"), "--presentation")
             return parse_presentation(path)
         field = self.field()
         group = self.group()
@@ -296,6 +303,8 @@ def _estimate_csv(est) -> list:
 
 def _cmd_entropy(run: RunConfig) -> int:
     pres = run.presentation()
+    if run.get("certify_eps") is None:
+        run.refuse(("tiles", "ncheck"), "a run without --certify-eps")
     scheme = run.scheme(pres.group)
     n_max = run.require("nmax")
     est = estimate(pres, scheme, n_max)
@@ -330,6 +339,7 @@ def _cmd_quotient(run: RunConfig) -> int:
 def _sub_presentation(run: RunConfig, ambient: SubshiftPresentation):
     path = run.get("npresentation")
     if path is not None:
+        run.refuse(("ngen",), "--npresentation")
         return parse_presentation(path)
     text = run.get("ngen")
     if text is None:
@@ -435,6 +445,8 @@ def _cmd_folner(run: RunConfig) -> int:
         raise CliError("n_max must be >= 1")
     shape = run.get("cshape", "box" if scheme.name in ("boxes", "boxz2") else "ball")
     radius = run.get("cradius", 1)
+    if radius < 0:
+        raise CliError("radius must be >= 0")
     if shape == "ball":
         C = ball(group, radius)
     elif scheme.name in ("boxes", "boxz2"):

@@ -5,8 +5,9 @@ automorphism, and the rationals.  Field elements are plain values (small
 ints for the finite fields, Fraction for the rationals) and every zero
 element is falsy; the field object supplies the operations, so vectors
 stay lightweight dicts from column labels to nonzero coefficients.  For the
-dimension-only paths, rank_echelon packs them into int rows over GF(2) and
-into pairs of int bit planes over GF(3) and GF(4).
+dimension-only paths, rank_echelon packs them into the bit rows of one
+BitEchelon class over GF(2), GF(3) and GF(4), in the row format that
+_ROW_FORMATS keeps per field.
 
 Column labels may be any mutually orderable hashable values.  Subspaces
 expose the reduced row echelon basis, which is unique for a given row
@@ -271,7 +272,7 @@ def field_from_name(name: str):
             n = int(key[2:])
         except ValueError:
             raise ValueError(f"bad field name {name!r}") from None
-        root = math.isqrt(n)
+        root = math.isqrt(max(n, 0))
         if root * root == n and _is_prime(root):
             return QuadraticField(root)
         if root * root != n and _is_prime(n):
@@ -372,21 +373,24 @@ class Echelon:
         return final
 
 
-class Gf2Echelon:
-    """GF(2) rows packed into ints and combined by XOR, for dimensions and
-    reduce-to-zero verdicts (M4RI without its Gray-code tables).  A label's
-    bit is its order of first appearance in the table that sibling echelons
-    share, and a row's pivot is its highest bit, with coefficient 1.
+class BitEchelon:
+    """Rows packed into ints in the field's _ROW_FORMATS entry, for
+    dimensions and reduce-to-zero verdicts (M4RI without its Gray-code
+    tables).  A label's bit is its order of first appearance in the table
+    that sibling echelons share, and a row's pivot is its highest bit, with
+    coefficient 1.
 
     Before the first reduce after an add, each row is reduced against the
     rows with lower pivots, in increasing pivot order, so that no row holds
     another pivot bit; a normal form then costs one row operation per pivot
-    bit of its input.  The rows stay an echelon, so add works unchanged.
-    PlaneEchelon keeps all of this and changes only the row format."""
+    bit of its input.  The rows stay an echelon, so add works unchanged."""
 
-    __slots__ = ("bits", "rows", "pivots", "solved")
+    __slots__ = ("field", "bits", "rows", "pivots", "solved",
+                 "_row", "_support", "_sub", "_unit")
 
-    def __init__(self, bits=None):
+    def __init__(self, field, bits=None):
+        self.field = field
+        self._row, self._support, self._sub, self._unit = _ROW_FORMATS[field]
         self.bits = {} if bits is None else bits
         self.rows: dict = {}
         self.pivots = 0  # the mask of all pivot bits
@@ -394,15 +398,8 @@ class Gf2Echelon:
 
     dim = Echelon.dim
 
-    def sibling(self) -> "Gf2Echelon":
-        return Gf2Echelon(self.bits)
-
-    # The row format.  _sub(x, row, bit) is x minus x's coefficient at bit
-    # times row, whose pivot is bit; _unit(x, bit) scales x to 1 at bit.
-    _row = staticmethod(lambda lo, hi: lo)  # every nonzero coefficient is 1
-    _support = staticmethod(lambda x: x)
-    _sub = staticmethod(lambda x, row, bit: x ^ row)
-    _unit = staticmethod(lambda x, bit: x)
+    def sibling(self) -> "BitEchelon":
+        return BitEchelon(self.field, self.bits)
 
     def pack(self, vec: dict):
         """The packed row of vec: bit 0 and bit 1 of each coefficient go
@@ -485,38 +482,27 @@ def _gf4_unit(x, bit):
     return (b, a ^ b) if a >> bit & 1 else (a ^ b, a)
 
 
-class PlaneEchelon(Gf2Echelon):
-    """Gf2Echelon over GF(3) or GF(4), a row held on two bit planes
-    (Boothby and Bradshaw's bitslicing): one-hot (ones, twos) over GF(3),
-    (a, b) of a + b*w over GF(4), where the field value 2 is w."""
-
-    __slots__ = ("field", "_sub", "_unit")
-
-    def __init__(self, field, bits=None):
-        super().__init__(bits)
-        self.field = field
-        self._sub, self._unit = _PLANE_OPS[field]
-
-    def sibling(self) -> "PlaneEchelon":
-        return PlaneEchelon(self.field, self.bits)
-
-    _row = staticmethod(lambda lo, hi: (lo, hi))
-    _support = staticmethod(lambda x: x[0] | x[1])
-
-
-_PLANE_OPS = {
-    PrimeField(3): (_gf3_sub, _gf3_unit),
-    QuadraticField(2): (_gf4_sub, _gf4_unit),
+# Each field's row format, as the hooks (_row, _support, _sub, _unit):
+# _row(lo, hi) builds a row from the label masks of coefficient bits 0 and
+# 1, _support(x) masks the labels with a nonzero coefficient, _sub(x, row,
+# bit) is x minus x's coefficient at bit times row, whose pivot is bit, and
+# _unit(x, bit) scales x to 1 at bit.  A GF(2) row is one int; GF(3) and
+# GF(4) rows sit on two bit planes (Boothby and Bradshaw's bitslicing),
+# one-hot (ones, twos) over GF(3) and (a, b) of a + b*w over GF(4), where
+# the field value 2 is w.
+_PLANES = (lambda lo, hi: (lo, hi), lambda x: x[0] | x[1])
+_ROW_FORMATS = {
+    PrimeField(2): (lambda lo, hi: lo, lambda x: x,
+                    lambda x, row, bit: x ^ row, lambda x, bit: x),
+    PrimeField(3): (*_PLANES, _gf3_sub, _gf3_unit),
+    QuadraticField(2): (*_PLANES, _gf4_sub, _gf4_unit),
 }
 
 
 def rank_echelon(field):
     """An empty echelon for dimensions and reduce-to-zero verdicts only:
-    GF(2) gets int rows, GF(3) and GF(4) two-plane rows, and every other
-    field the dict Echelon."""
-    if field == PrimeField(2):
-        return Gf2Echelon()
-    return PlaneEchelon(field) if field in _PLANE_OPS else Echelon(field)
+    the bit kernel over the fields of _ROW_FORMATS, else the dict Echelon."""
+    return BitEchelon(field) if field in _ROW_FORMATS else Echelon(field)
 
 
 class Subspace:
@@ -555,11 +541,6 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, field={self.field.name})"
-
-    def sum(self, other: "Subspace") -> "Subspace":
-        _same_field(self, other)
-        rows = _descending(self.rows) + _descending(other.rows)
-        return Subspace.from_echelon(Echelon(self.field, rows))
 
 
 def _same_field(U: Subspace, V: Subspace):

@@ -282,20 +282,15 @@ class FiniteSubset:
         self._require_same_group(other)
         return self.elements <= other.elements
 
-    def translate(self, g):
-        """Left translate gA = {g*a : a in A}; a bijection, so |gA| = |A|."""
-        self.group.check(g)
-        return FiniteSubset._raw(
-            self.group, frozenset(self.group.left_translate(g, self.elements))
-        )
-
     def inverse(self):
         inv = self.group.inv
         return FiniteSubset._raw(self.group, frozenset(inv(a) for a in self.elements))
 
 
 def translate(g, A: FiniteSubset) -> FiniteSubset:
-    return A.translate(g)
+    """Left translate gA = {g*a : a in A}; a bijection, so |gA| = |A|."""
+    A.group.check(g)
+    return FiniteSubset._raw(A.group, frozenset(A.group.left_translate(g, A.elements)))
 
 
 def set_product(A: FiniteSubset, B: FiniteSubset) -> FiniteSubset:

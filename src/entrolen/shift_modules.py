@@ -139,15 +139,6 @@ def trajectory_echelon(p: SubshiftPresentation, F: FiniteSubset) -> Echelon:
     return Echelon(p.field, _translates(p, F.elements))
 
 
-def trajectory(p: SubshiftPresentation, F: FiniteSubset) -> Subspace:
-    """The F-window trajectory with its canonical basis."""
-    return Subspace.from_echelon(trajectory_echelon(p, F))
-
-
-def trajectory_dim(p: SubshiftPresentation, F: FiniteSubset) -> int:
-    return trajectory_echelon(p, F).dim
-
-
 @dataclass(frozen=True)
 class SesDims:
     """Window dimensions of the exact sequence
@@ -231,9 +222,6 @@ def _quotient_split(
             f"{dim_total} != {cap} + {dim_image}"
         )
     return SesDims(dim_total, cap, dim_image, stabilized, steps, *window_dims)
-
-
-ses_dims = _quotient_split
 
 
 class PresentationError(ValueError):

@@ -36,13 +36,14 @@ from entrolen.groups import (
     FreeAbelian,
     Heisenberg,
     set_product,
+    translate,
     ZCrossZ2,
 )
 from entrolen.shift_modules import (
     bernoulli,
     cyclic_presentation,
     SubshiftPresentation,
-    trajectory_dim,
+    trajectory_echelon,
 )
 from entrolen.tiling import build_net, check_quasi_tiling, greedy_quasi_tile, net_density
 
@@ -289,7 +290,8 @@ def _property_modular_identity(rng):
 
         U = span(field, rand_vecs())
         V = span(field, rand_vecs())
-        assert U.dim + V.dim == U.sum(V).dim + intersect(U, V).dim
+        U_plus_V = span(field, U.basis_rows() + V.basis_rows())
+        assert U.dim + V.dim == U_plus_V.dim + intersect(U, V).dim
         count += 1
     return count
 
@@ -313,14 +315,14 @@ def _property_trajectory_shape(rng):
         F2 = FiniteSubset(group, els2)
         union = F1.union(F2)
         d1, d2, du = (
-            trajectory_dim(p, F1),
-            trajectory_dim(p, F2),
-            trajectory_dim(p, union),
+            trajectory_echelon(p, F1).dim,
+            trajectory_echelon(p, F2).dim,
+            trajectory_echelon(p, union).dim,
         )
         assert du <= d1 + d2  # sub-additive
         assert du >= max(d1, d2)  # monotone
         g = _sample_element(rng, group)
-        assert trajectory_dim(p, F1.translate(g)) == d1  # equivariant
+        assert trajectory_echelon(p, translate(g, F1)).dim == d1  # equivariant
         count += 1
     return count
 

@@ -1,9 +1,11 @@
 import os
 import time
+from pathlib import Path
 
 import pytest
 
 from entrolen.cli import build_parser, main, parse_presentation
+from entrolen.shift_modules import parse_presentation_text
 
 
 def run_cli(capsys, *args):
@@ -317,6 +319,45 @@ def test_presentation_file_errors(tmp_path, capsys):
     assert "zero coefficient" in err
 
 
+def test_readme_presentation_example_parses():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    _, _, rest = readme.partition("Presentation files are plain text:\n\n```\n")
+    pres = parse_presentation_text(rest.partition("```")[0])
+    assert (pres.group.name, pres.field.name, pres.cocycle.label) == ("ZxZ2", "gf3", "trivial")
+    assert pres.rank == 1 and len(pres.generators) == 1
+
+
+@pytest.mark.parametrize(
+    "command, options, message",
+    [
+        ("entropy", {"field": "gf3"}, "--presentation never reads --field"),
+        ("entropy", {"gen": "1*(0)|1"}, "--presentation never reads --gen"),
+        ("entropy", {"rank": "5"}, "--presentation never reads --rank"),
+        ("entropy", {"group": "Z^2"}, "--presentation never reads --group"),
+        ("entropy", {"cocycle": "frobenius", "rank": "5"},
+         "--presentation never reads --cocycle, --rank"),
+        ("quotient-entropy", {"ngen": "1*(1)|1"}, "--npresentation never reads --ngen"),
+        ("entropy", {"tiles": "5"}, "a run without --certify-eps never reads --tiles"),
+        ("entropy", {"ncheck": "3"}, "a run without --certify-eps never reads --ncheck"),
+    ],
+    ids=["field", "gen", "rank", "group", "cocycle", "ngen", "tiles", "ncheck"],
+)
+def test_options_the_chosen_input_never_reads_are_rejected(
+    tmp_path, capsys, command, options, message
+):
+    pres = tmp_path / "pres.txt"
+    pres.write_text("group=Z\nfield=gf2\nrank=1\n(0)|1|1\n", encoding="utf-8")
+    args = [command, "--presentation", str(pres), "--nmax", "2"]
+    if command == "quotient-entropy":
+        args += ["--npresentation", str(pres)]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{k}={v}\n" for k, v in options.items()), encoding="utf-8")
+    flags = [a for k, v in options.items() for a in (f"--{k}", v)]
+    for extra in (flags, ["--config", str(cfg)]):
+        code, out, err = run_cli(capsys, *args, *extra)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize(
     "flag, prefix",
     [("--presentation", "cannot read"), ("--config", "cannot read config")],
@@ -605,16 +646,20 @@ def test_out_to_unwritable_path_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize(
     "args, message",
     [
-        (["validate-cocycle", "--field", "gf3", "--budget", "-5"], "sample_budget"),
-        (["folner-ratios", "--nmax", "-3"], "n_max"),
+        (["validate-cocycle", "--field", "gf3", "--budget", "-5"],
+         "sample_budget must be >= 1"),
+        (["folner-ratios", "--nmax", "-3"], "n_max must be >= 1"),
+        (["folner-ratios", "--nmax", "3", "--cradius", "-1"], "radius must be >= 0"),
+        (["entropy", "--field", "gf-4", "--rank", "1", "--gen", "1*(0)|1", "--nmax", "1"],
+         "unsupported field size -4 (need p or p^2)"),
     ],
-    ids=["validate-budget", "folner-nmax"],
+    ids=["validate-budget", "folner-nmax", "folner-cradius", "field-negative"],
 )
 def test_out_of_range_counts_exit_2(capsys, args, message):
     code, out, err = run_cli(capsys, args[0], "--group", "Z", *args[1:])
     assert code == 2
     assert out == ""
-    assert f"error: {message} must be >= 1" in err
+    assert f"error: {message}" in err
 
 
 P61 = 2**61 - 1

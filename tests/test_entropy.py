@@ -22,7 +22,7 @@ from entrolen.shift_modules import (
     cyclic_presentation,
     StabilizationConfig,
     SubshiftPresentation,
-    trajectory_dim,
+    trajectory_echelon,
 )
 from entrolen.tiling import build_net, TilingFailed
 
@@ -214,7 +214,7 @@ def test_window_ratios_bounded_by_net_count():
         for n in range(1, 9):
             Fn = scheme.set_at(n)
             count = len(Fn.elements & net.points.elements)
-            assert trajectory_dim(pres, Fn) >= count
+            assert trajectory_echelon(pres, Fn).dim >= count
 
 
 def test_estimate_monotone_for_nested_generators():
@@ -299,10 +299,10 @@ def test_addition_check_window_dims_match_rebuilt_windows():
     dim(T_F(M) meet T_E(N)), E = ball(steps) * F, read from the quotient
     split, equal the trajectories rebuilt and intersected from scratch."""
     from entrolen.crossed_product import frobenius_cocycle
-    from entrolen.exact_linalg import intersect, QuadraticField, RationalField
+    from entrolen.exact_linalg import intersect, QuadraticField, RationalField, Subspace
     from entrolen.folner import default_scheme
     from entrolen.groups import ball, Heisenberg
-    from entrolen.shift_modules import ses_dims, trajectory
+    from entrolen.shift_modules import _quotient_split
 
     rng = random.Random(41)
     cases = [
@@ -322,12 +322,16 @@ def test_addition_check_window_dims_match_rebuilt_windows():
             rep = addition_check(M, N, scheme, n_max, Fraction(1))
             for w in rep.windows:
                 F = scheme.set_at(w.n)
-                assert w.dim_sub == trajectory_dim(N, F)
-                T = trajectory(M, F)
-                split = ses_dims(M, N, F)
-                assert split.dim_window_meet == intersect(T, trajectory(N, F)).dim
+                assert w.dim_sub == trajectory_echelon(N, F).dim
+                T = Subspace.from_echelon(trajectory_echelon(M, F))
+                split = _quotient_split(M, N, F)
+                assert split.dim_window_meet == intersect(
+                    T, Subspace.from_echelon(trajectory_echelon(N, F))
+                ).dim
                 E = set_product(ball(cocycle.group, split.steps), F)
-                assert split.dim_intersection == intersect(T, trajectory(N, E)).dim
+                assert split.dim_intersection == intersect(
+                    T, Subspace.from_echelon(trajectory_echelon(N, E))
+                ).dim
                 windows += 1
     assert windows == 4 * (2 + 3 + 3 + 1)
 
@@ -367,7 +371,7 @@ def test_estimate_dims_equal_per_window_trajectories():
             p = _random_presentation(rng, cocycle, rng.randint(1, 2), support)
             rows = estimate(p, scheme, n_max).rows
             assert [(r.n, r.folner_size, r.dim) for r in rows] == [
-                (n, len(scheme.set_at(n)), trajectory_dim(p, scheme.set_at(n)))
+                (n, len(scheme.set_at(n)), trajectory_echelon(p, scheme.set_at(n)).dim)
                 for n in range(1, n_max + 1)
             ]
 
@@ -376,7 +380,7 @@ def test_stability_window_does_not_move_quotient_dims():
     """On random rank-2 GF(2)[Z] presentations the split stops at the same
     dims with stability windows 3 and 15, both stabilized; with no growth
     budget it stops at E_0 = F, unstabilized, with an upper-bound image."""
-    from entrolen.shift_modules import ses_dims
+    from entrolen.shift_modules import _quotient_split
 
     rng = random.Random(53)
     support = [(k,) for k in range(-2, 3)]
@@ -385,7 +389,7 @@ def test_stability_window_does_not_move_quotient_dims():
         N = _random_presentation(rng, CZ2, 2, support)
         F = BOXES.set_at(rng.randint(1, 5))
         short, long_, none = (
-            ses_dims(M, N, F, StabilizationConfig(stability_window=w, max_steps=m))
+            _quotient_split(M, N, F, StabilizationConfig(stability_window=w, max_steps=m))
             for w, m in ((3, 30), (15, 30), (3, 0))
         )
         assert short.stabilized and long_.stabilized

@@ -167,7 +167,7 @@ def test_heisenberg_left_and_right_translates_differ():
 @pytest.mark.parametrize("group", SET_TRANSLATE_GROUPS, ids=lambda g: g.name)
 def test_translate_checks_g_once_at_the_boundary(group):
     """The set-level translates check nothing per element, so
-    FiniteSubset.translate must reject a bad g before calling them."""
+    translate must reject a bad g before calling them."""
     A = FiniteSubset(group, [group.identity, group.generators()[-1]])
     e = group.identity
     bad = [e + (0,), e[:-1], e[:-1] + (0.5,)]
@@ -175,7 +175,7 @@ def test_translate_checks_g_once_at_the_boundary(group):
         bad.append((0, 2))
     for g in bad:
         with pytest.raises(ValueError):
-            A.translate(g)
+            translate(g, A)
 
 
 def test_set_product():

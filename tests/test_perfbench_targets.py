@@ -43,7 +43,7 @@ def test_counters_read_real_results():
     from entrolen.exact_linalg import Echelon, PrimeField
     from entrolen.folner import Boxes
     from entrolen.groups import FreeAbelian, set_product
-    from entrolen.shift_modules import bernoulli, cyclic_presentation, ses_dims
+    from entrolen.shift_modules import _quotient_split, bernoulli, cyclic_presentation
 
     tracer = _load_tracer()
     gf3, Z = PrimeField(3), FreeAbelian(1)
@@ -51,7 +51,7 @@ def test_counters_read_real_results():
     M = bernoulli(c, 1)
     N = cyclic_presentation(c, parse_element(gf3, Z, "2*(0) + 1*(1)"))
     scheme = Boxes(Z)
-    split = ses_dims(M, N, scheme.set_at(2))
+    split = _quotient_split(M, N, scheme.set_at(2))
     results = {
         "shift_modules.quotient_split": split,
         "entropy.estimate": estimate(M, scheme, 2),

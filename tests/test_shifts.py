@@ -9,20 +9,26 @@ from entrolen.crossed_product import (
     parse_element,
     trivial_cocycle,
 )
-from entrolen.exact_linalg import Echelon, PrimeField, QuadraticField, span
+from entrolen.exact_linalg import Echelon, PrimeField, QuadraticField, span, Subspace
 from entrolen.folner import Boxes, BoxTimesZ2
-from entrolen.groups import ball, FiniteSubset, FreeAbelian, Heisenberg, ZCrossZ2
+from entrolen.groups import (
+    ball,
+    FiniteSubset,
+    FreeAbelian,
+    Heisenberg,
+    translate,
+    ZCrossZ2,
+)
 from entrolen.shift_modules import (
+    _quotient_split,
     bernoulli,
     cyclic_presentation,
     parse_presentation_text,
     PresentationError,
     serialize_presentation,
-    ses_dims,
     StabilizationConfig,
     SubshiftPresentation,
-    trajectory,
-    trajectory_dim,
+    trajectory_echelon,
 )
 
 GF2 = PrimeField(2)
@@ -48,17 +54,17 @@ def zwindow(n):
 def test_bernoulli_trajectory_dims():
     p = bernoulli(CZ3, 1)
     F = FiniteSubset(Z, [(k,) for k in range(-2, 3)])
-    assert trajectory(p, F).dim == 5
-    assert trajectory_dim(p, FiniteSubset(Z, [])) == 0
+    assert trajectory_echelon(p, F).dim == 5
+    assert trajectory_echelon(p, FiniteSubset(Z, [])).dim == 0
     p3 = bernoulli(CZ3, 3)
     for n in range(1, 6):
-        assert trajectory_dim(p3, zwindow(n)) == 3 * (2 * n + 1)
+        assert trajectory_echelon(p3, zwindow(n)).dim == 3 * (2 * n + 1)
 
 
 def test_order_two_relation_halves_dimension():
     sub = cyclic_presentation(CX3, E_PLUS_S)
     for n in range(1, 8):
-        assert trajectory_dim(sub, BOXZ2.set_at(n)) == 2 * n + 1
+        assert trajectory_echelon(sub, BOXZ2.set_at(n)).dim == 2 * n + 1
 
 
 def test_presentation_validation():
@@ -76,7 +82,7 @@ def test_ses_dims_polynomial_hyperplane():
     M = bernoulli(CZ3, 1)
     N = cyclic_presentation(CZ3, T_MINUS_1)
     for n in (2, 5, 9):
-        s = ses_dims(M, N, zwindow(n))
+        s = _quotient_split(M, N, zwindow(n))
         assert (s.dim_total, s.dim_intersection, s.dim_image) == (
             2 * n + 1,
             2 * n,
@@ -88,14 +94,14 @@ def test_ses_dims_polynomial_hyperplane():
 def test_ses_dims_zero_submodule():
     M = bernoulli(CZ3, 1)
     zero = SubshiftPresentation(M.cocycle, M.rank, ())
-    s = ses_dims(M, zero, zwindow(4))
+    s = _quotient_split(M, zero, zwindow(4))
     assert (s.dim_total, s.dim_intersection, s.dim_image) == (9, 0, 9)
     assert s.stabilized
 
 
 def test_ses_dims_full_submodule():
     M = bernoulli(CZ3, 1)
-    s = ses_dims(M, M, zwindow(4))
+    s = _quotient_split(M, M, zwindow(4))
     assert (s.dim_total, s.dim_intersection, s.dim_image) == (9, 9, 0)
     assert s.stabilized
 
@@ -104,19 +110,19 @@ def test_quotient_dims():
     M = bernoulli(CZ3, 1)
     N = cyclic_presentation(CZ3, T_MINUS_1)
     for n in (1, 4, 7):
-        q = ses_dims(M, N, zwindow(n))
+        q = _quotient_split(M, N, zwindow(n))
         assert q.dim_image == 1 and q.stabilized
     Mx = bernoulli(CX3, 1)
     Nx = cyclic_presentation(CX3, E_PLUS_S)
     for n in (1, 3, 6):
-        q = ses_dims(Mx, Nx, BOXZ2.set_at(n))
+        q = _quotient_split(Mx, Nx, BOXZ2.set_at(n))
         assert q.dim_image == 2 * n + 1 and q.stabilized
 
 
 def test_budget_exhaustion_is_flagged():
     M = bernoulli(CZ3, 1)
     N = cyclic_presentation(CZ3, T_MINUS_1)
-    q = ses_dims(
+    q = _quotient_split(
         M, N, zwindow(3), StabilizationConfig(stability_window=3, max_steps=0)
     )
     assert not q.stabilized
@@ -127,7 +133,7 @@ def test_budget_exhaustion_is_flagged():
 def test_ses_dims_empty_window():
     M = bernoulli(CZ3, 1)
     N = cyclic_presentation(CZ3, T_MINUS_1)
-    q = ses_dims(M, N, FiniteSubset(Z, []))
+    q = _quotient_split(M, N, FiniteSubset(Z, []))
     assert (q.dim_total, q.dim_intersection, q.dim_image) == (0, 0, 0)
     assert q.stabilized and q.steps == 3
 
@@ -164,10 +170,10 @@ def test_quotient_split_matches_the_dict_kernel(monkeypatch, cocycle, radii):
         for n in radii:
             for approx in budgets:
                 F = ball(cocycle.group, n)
-                fast = ses_dims(M, N, F, approx)
+                fast = _quotient_split(M, N, F, approx)
                 with monkeypatch.context() as m:
                     m.setattr(shift_modules, "rank_echelon", Echelon)
-                    assert ses_dims(M, N, F, approx) == fast
+                    assert _quotient_split(M, N, F, approx) == fast
 
 
 def test_stabilization_config_validation():
@@ -183,7 +189,7 @@ def test_intersection_dim_monotone_in_budget():
     F = zwindow(5)
     caps = []
     for steps in range(5):
-        s = ses_dims(M, N, F, StabilizationConfig(stability_window=5, max_steps=steps))
+        s = _quotient_split(M, N, F, StabilizationConfig(stability_window=5, max_steps=steps))
         caps.append(s.dim_intersection)
     assert caps == sorted(caps)
 
@@ -195,9 +201,11 @@ def test_union_additivity_and_monotonicity():
         F1 = FiniteSubset(Z, [(rng.randrange(-5, 6),) for _ in range(rng.randrange(1, 5))])
         F2 = FiniteSubset(Z, [(rng.randrange(-5, 6),) for _ in range(rng.randrange(1, 5))])
         union = F1.union(F2)
-        t1, t2, tu = trajectory(p, F1), trajectory(p, F2), trajectory(p, union)
+        t1, t2, tu = (
+            Subspace.from_echelon(trajectory_echelon(p, F)) for F in (F1, F2, union)
+        )
         # T_{F1 u F2} = T_{F1} + T_{F2}
-        assert tu == t1.sum(t2)
+        assert tu == span(p.field, t1.basis_rows() + t2.basis_rows())
         assert tu.dim <= t1.dim + t2.dim
         if F1.is_subset(F2):
             assert t1.dim <= t2.dim
@@ -216,9 +224,9 @@ def test_equivariance_and_generator_bound():
             ],
         )
         g = (rng.randrange(-4, 5), rng.randrange(2))
-        gF = F.translate(g)
-        assert trajectory_dim(p, gF) == trajectory_dim(p, F)
-        assert trajectory_dim(p, F) <= len(F) * coeff_dim
+        gF = translate(g, F)
+        assert trajectory_echelon(p, gF).dim == trajectory_echelon(p, F).dim
+        assert trajectory_echelon(p, F).dim <= len(F) * coeff_dim
 
 
 def test_serialize_parse_roundtrip():

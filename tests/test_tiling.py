@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from entrolen.folner import Boxes
-from entrolen.groups import FiniteSubset, FreeAbelian, set_product
+from entrolen.groups import FiniteSubset, FreeAbelian, set_product, translate
 from entrolen.tiling import (
     _match_quotas,
     build_net,
@@ -233,7 +233,7 @@ def test_net_with_difference_set_covers(e_elems):
     # translates of E from net points are pairwise disjoint
     seen = set()
     for g in net.points:
-        cells = E.translate(g).elements
+        cells = translate(g, E).elements
         assert not (cells & seen)
         seen |= cells
 
