@@ -238,6 +238,13 @@ class RunConfig:
             raise CliError(f"missing required option --{key.replace('_', '-')}")
         return self.values[key]
 
+    def index(self, key):
+        """The window index, or tuple of indices, of --key; each is >= 0."""
+        value = self.require(key)
+        if min(value if isinstance(value, tuple) else (value,)) < 0:
+            raise CliError(f"--{key} must be >= 0")
+        return value
+
     def refuse(self, keys, path: str):
         """Exit 2 on the given options among keys, which path never reads."""
         given = [f"--{k.replace('_', '-')}" for k in keys if k in self.values]
@@ -312,7 +319,7 @@ def _cmd_entropy(run: RunConfig) -> int:
     extra = []
     if run.get("certify_eps") is not None:
         eps = run.require("certify_eps")
-        tiles = run.require("tiles")
+        tiles = run.index("tiles")
         n_check = run.get("ncheck", max(tiles))
         try:
             cert = certified_upper_bound(pres, scheme, eps, tiles, n_check)
@@ -416,8 +423,8 @@ def _cmd_zerodiv(run: RunConfig) -> int:
 def _cmd_tile(run: RunConfig) -> int:
     group = run.group()
     scheme = run.scheme(group)
-    target = scheme.set_at(run.require("target"))
-    tiles = [scheme.set_at(i) for i in run.require("tiles")]
+    target = scheme.set_at(run.index("target"))
+    tiles = [scheme.set_at(i) for i in run.index("tiles")]
     eps = run.require("eps")
     try:
         tiling = greedy_quasi_tile(target, tiles, eps)

@@ -7,7 +7,9 @@ element is falsy; the field object supplies the operations, so vectors
 stay lightweight dicts from column labels to nonzero coefficients.  For the
 dimension-only paths, rank_echelon packs them into the bit rows of one
 BitEchelon class over GF(2), GF(3) and GF(4), in the row format that
-_ROW_FORMATS keeps per field.
+_ROW_FORMATS keeps per field.  Both echelons keep one policy in their two
+row formats: add eliminates at the pivot end only, and the rows are
+back-substituted once, before the first normal form after an add.
 
 Column labels may be any mutually orderable hashable values.  Subspaces
 expose the reduced row echelon basis, which is unique for a given row
@@ -21,7 +23,6 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 
 
 # Strong-probable-prime tests to the first 13 prime bases decide primality
@@ -281,52 +282,42 @@ def field_from_name(name: str):
     raise ValueError(f"unknown field {name!r}")
 
 
-def _reduce(rows: dict, field, vec: dict) -> dict:
-    """Fully reduce vec modulo the echelon rows; the remainder has no
-    entry at any pivot label, so it is the canonical coset representative."""
-    if not vec or not rows:
-        return dict(vec)
-    submul = field.submul
-    zero = field.zero
-    out = dict(vec)
-    heap = [lbl for lbl in out if lbl in rows]
-    if not heap:
-        return out
-    heapify(heap)
-    queued = set(heap)
-    while heap:
-        lbl = heappop(heap)
-        c = out.pop(lbl, None)
-        if c is None:
-            continue
-        for l2, v2 in rows[lbl].items():
-            if l2 == lbl:
-                continue
-            nv = submul(out.get(l2, zero), c, v2)
-            if nv:
-                out[l2] = nv
-                if l2 not in queued and l2 in rows:
-                    heappush(heap, l2)
-                    queued.add(l2)
+def _subtract(field, out: dict, row: dict, piv):
+    """out -= out[piv] * row in place, for a row with coefficient 1 at piv."""
+    c, submul, zero = out.pop(piv), field.submul, field.zero
+    for lbl, v in row.items():
+        if lbl != piv:
+            if nv := submul(out.get(lbl, zero), c, v):
+                out[lbl] = nv
             else:
-                out.pop(l2, None)
+                del out[lbl]
+
+
+def _reduce(rows: dict, field, vec: dict) -> dict:
+    """The canonical representative of vec modulo solved rows, which hold
+    no pivot label but their own: one row step per pivot label of vec."""
+    out = dict(vec)
+    for piv in [lbl for lbl in vec if lbl in rows]:
+        _subtract(field, out, rows[piv], piv)
     return out
 
 
 class Echelon:
-    """Mutable forward-echelon accumulator: pivot label -> normalized row.
+    """Mutable echelon: pivot label -> row, with coefficient 1 at the
+    pivot, the row's minimal label.  The pivot labels depend only on the
+    row space, never on insertion order.
 
-    Rows are normalized (pivot coefficient 1, pivot = min label of the
-    row) but not mutually reduced; the canonical reduced basis is
-    materialized on demand by rref().  The pivot label set depends only
-    on the accumulated row space, never on insertion order.
-    """
+    BitEchelon's policy on dict rows: add eliminates at the pivot end
+    only, and the first reduce or rref after an add back-substitutes the
+    rows in descending pivot order into the unique reduced row echelon
+    form, in which no row holds another pivot label."""
 
-    __slots__ = ("field", "rows")
+    __slots__ = ("field", "rows", "solved")
 
     def __init__(self, field, vectors=()):
         self.field = field
         self.rows: dict = {}
+        self.solved = True  # no row holds a pivot label but its own
         for vec in vectors:
             self.add(vec)
 
@@ -334,23 +325,31 @@ class Echelon:
     def dim(self) -> int:
         return len(self.rows)
 
+    def _solve(self):
+        if not self.solved:
+            rows, field = self.rows, self.field
+            for piv in sorted(rows, reverse=True):
+                rows[piv] = _reduce(rows, field, rows.pop(piv))
+            self.solved = True
+
     def reduce(self, vec: dict) -> dict:
+        self._solve()
         return _reduce(self.rows, self.field, vec)
 
     def add(self, vec: dict):
         """Insert vec's residue; returns the new pivot label, or None if
         vec was already in the span."""
-        rem = _reduce(self.rows, self.field, vec)
+        rows, field = self.rows, self.field
+        rem = dict(vec)
+        while rem and (piv := min(rem)) in rows:
+            _subtract(field, rem, rows[piv], piv)
         if not rem:
             return None
-        piv = min(rem)
-        field = self.field
-        c = rem[piv]
-        if c != field.one:
+        if (c := rem[piv]) != field.one:
             inv = field.inv(c)
-            mul = field.mul
-            rem = {l: mul(inv, v) for l, v in rem.items()}
-        self.rows[piv] = rem
+            rem = {l: field.mul(inv, v) for l, v in rem.items()}
+        rows[piv] = rem
+        self.solved = False
         return piv
 
     def sibling(self) -> "Echelon":
@@ -362,15 +361,8 @@ class Echelon:
 
     def rref(self) -> dict:
         """Canonical reduced echelon rows (unique per row space)."""
-        final: dict = {}
-        field = self.field
-        for piv in sorted(self.rows, reverse=True):
-            row = self.rows[piv]
-            tail = {l: v for l, v in row.items() if l != piv}
-            rem = _reduce(final, field, tail)
-            rem[piv] = field.one
-            final[piv] = rem
-        return final
+        self._solve()
+        return {piv: dict(row) for piv, row in self.rows.items()}
 
 
 class BitEchelon:

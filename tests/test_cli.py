@@ -226,6 +226,25 @@ def test_zerodiv_verdicts(capsys):
     assert "submodule_ratio=1/1" in out
 
 
+@pytest.mark.parametrize(
+    "field, cocycle, elem, witness",
+    [
+        ("gf5", "trivial", "1*(0,0) + 4*(0,1)", "1*(0,0) + 1*(0,1)"),
+        ("q", "trivial", "1/2*(0,0) + 3*(1,0) + 1/2*(0,1) + 3*(1,1)",
+         "1/1*(0,0) + -1/1*(0,1)"),
+        ("gf4", "frobenius", "1*(0,0) + 0+1*w*(0,1)", "1+0*w*(0,0) + 0+1*w*(0,1)"),
+    ],
+    ids=["gf5", "q", "gf4-frobenius"],
+)
+def test_zerodiv_witnesses_on_zxz2(capsys, field, cocycle, elem, witness):
+    code, out, _ = run_cli(
+        capsys, "zerodiv", "--group", "ZxZ2", "--field", field, "--cocycle", cocycle,
+        "--elem", elem, "--nmax", "4", "--radius", "3",
+    )
+    assert code == 0
+    assert out.splitlines()[:2] == ["verdict=zero-divisor", f"witness={witness}"]
+
+
 def test_tile_report(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -652,8 +671,16 @@ def test_out_to_unwritable_path_exit_2(tmp_path, capsys):
         (["folner-ratios", "--nmax", "3", "--cradius", "-1"], "radius must be >= 0"),
         (["entropy", "--field", "gf-4", "--rank", "1", "--gen", "1*(0)|1", "--nmax", "1"],
          "unsupported field size -4 (need p or p^2)"),
+        (["tile", "--target", "-1", "--tiles", "2", "--eps", "1/10"],
+         "--target must be >= 0"),
+        (["tile", "--target", "20", "--tiles", "2,-1", "--eps", "1/10"],
+         "--tiles must be >= 0"),
+        (["entropy", "--field", "gf2", "--rank", "1", "--gen", "1*(0)|1", "--nmax", "2",
+          "--certify-eps", "1/10", "--tiles", "1,-2"],
+         "--tiles must be >= 0"),
     ],
-    ids=["validate-budget", "folner-nmax", "folner-cradius", "field-negative"],
+    ids=["validate-budget", "folner-nmax", "folner-cradius", "field-negative",
+         "tile-target", "tile-tiles", "entropy-tiles"],
 )
 def test_out_of_range_counts_exit_2(capsys, args, message):
     code, out, err = run_cli(capsys, args[0], "--group", "Z", *args[1:])

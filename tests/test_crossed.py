@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -15,7 +16,7 @@ from entrolen.crossed_product import (
     trivial_cocycle,
     validate_cocycle,
 )
-from entrolen.exact_linalg import PrimeField, QuadraticField
+from entrolen.exact_linalg import PrimeField, QuadraticField, RationalField
 from entrolen.groups import ball, FreeAbelian, Heisenberg, ZCrossZ2
 
 from linalg_reference import span_dim
@@ -24,6 +25,7 @@ GF2 = PrimeField(2)
 GF3 = PrimeField(3)
 GF4 = QuadraticField(2)
 GF5 = PrimeField(5)
+QQ = RationalField()
 Z = FreeAbelian(1)
 ZZ2 = ZCrossZ2()
 W = GF4.make(0, 1)
@@ -263,6 +265,66 @@ def test_find_annihilator_none_for_unit():
     assert find_annihilator(x, c, 4) is None
     with pytest.raises(ValueError):
         find_annihilator(CrossedElement.zero(GF4, Z), c, 2)
+
+
+@pytest.mark.parametrize(
+    "field, cocycle, elem, witness",
+    [
+        (GF5, trivial_cocycle, "1*(0,0) + 4*(0,1)", "1*(0,0) + 1*(0,1)"),
+        (GF5, trivial_cocycle, "2*(0,0) + 1*(1,0) + 3*(0,1) + 4*(1,1)", "1*(0,0) + 1*(0,1)"),
+        (GF5, trivial_cocycle, "1*(0,0) + 2*(0,1)", None),
+        (QQ, trivial_cocycle, "1/2*(0,0) + 3*(1,0) + 1/2*(0,1) + 3*(1,1)",
+         "1/1*(0,0) + -1/1*(0,1)"),
+        (QQ, trivial_cocycle, "1*(0,0) + -1*(1,1)", None),
+        (GF4, frobenius_cocycle, "1*(0,0) + 0+1*w*(0,1)", "1+0*w*(0,0) + 0+1*w*(0,1)"),
+        (GF4, frobenius_cocycle, "1*(0,0) + 1*(0,1)", "1+0*w*(0,0) + 1+0*w*(0,1)"),
+        (GF4, frobenius_cocycle, "1*(0,0) + 0+1*w*(1,1)", None),
+    ],
+)
+def test_find_annihilator_witnesses_on_zxz2(field, cocycle, elem, witness):
+    """The canonical witness, or None, at radius 3 on GF(5), Q and the
+    Frobenius-twisted GF(4) group rings of ZxZ2."""
+    c = cocycle(field, ZZ2)
+    y = find_annihilator(parse_element(field, ZZ2, elem), c, 3)
+    assert (None if y is None else format_element(y)) == witness
+
+
+def _right_annihilated(x, c, radius, twisted=True):
+    """Whether some nonzero y on ball(radius) has x y = 0.  Write y as the
+    sum of g c_g: x (g c_g) = (x g) c_g, and the entry at k of v c is
+    v_k sigma_k(c), so sigma_k^-1 at each label k makes the system in the
+    c_g linear.  twisted=False leaves sigma_k out."""
+    F, group = x.field, x.group
+    exp = c.sigma_exp if twisted else (lambda k: 0)
+    rows = []
+    for g in ball(group, radius).sorted_elements():
+        xg = multiply(x, CrossedElement(F, group, {g: F.one}), c)
+        rows.append({k: F.apply_auto(v, -exp(k)) for k, v in xg.terms.items()})
+    return span_dim(F, rows) < len(rows)
+
+
+@pytest.mark.parametrize(
+    "field, cocycle", [(GF4, frobenius_cocycle), (GF3, trivial_cocycle)],
+    ids=["gf4-frobenius", "gf3"],
+)
+def test_left_search_finds_every_right_zero_divisor_on_zxz2(field, cocycle):
+    """find_annihilator looks for y x = 0 only; on every nonzero x on
+    ball(1) a right search at radius 2 reaches the same verdict, so these
+    rings have no zero divisor that the one-sided search misses."""
+    c = cocycle(field, ZZ2)
+    supp = ball(ZZ2, 1).sorted_elements()
+    elems = [
+        CrossedElement(field, ZZ2, {g: a for g, a in zip(supp, coeffs) if a})
+        for coeffs in itertools.product(field.elements(), repeat=len(supp))
+        if any(coeffs)
+    ]
+    assert len(elems) == {GF4: 255, GF3: 80}[field]
+    left = [find_annihilator(x, c, 2) is not None for x in elems]
+    assert left == [_right_annihilated(x, c, 2) for x in elems]
+    # scalars do not commute past x under the twist: without sigma_k^-1
+    # the right search is wrong
+    naive = sum(l != _right_annihilated(x, c, 2, False) for l, x in zip(left, elems))
+    assert naive == (6 if c.frobenius else 0)
 
 
 def _coboundary_cocycle(group):

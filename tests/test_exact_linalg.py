@@ -22,7 +22,7 @@ from entrolen.exact_linalg import (
 )
 from entrolen.groups import ball, FreeAbelian, Heisenberg, ZCrossZ2
 
-from linalg_reference import quotient_dim, span_dim
+from linalg_reference import gauss_jordan, normal_form, quotient_dim, span_dim
 
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)
@@ -399,3 +399,48 @@ def test_rank_echelon_picks_the_kernel_by_field():
     for field in (GF5, GF9, QQ):
         ech = rank_echelon(field)
         assert type(ech) is Echelon and ech.field == field
+
+
+@pytest.mark.parametrize("field", [GF5, GF9, QQ], ids=lambda f: f.name)
+def test_dict_echelon_matches_gauss_jordan(field):
+    """add, reduce, rref and Subspace.contains against the dense oracle,
+    with normal forms and reduced rows asked for between the inserts, so
+    rows back-substituted once must be redone after the next add."""
+    rng = random.Random(73)
+    labels = [(i, j) for i in range(6) for j in (0, 1)]
+
+    def coefficient():
+        if field == QQ:
+            return Fraction(rng.choice([-5, -3, -1, 1, 2, 4]), rng.randint(1, 4))
+        return _nonzero(rng, field)
+
+    def vector():
+        return {l: coefficient() for l in rng.sample(labels, rng.randint(1, 5))}
+
+    def combination(vecs, k):
+        return _combination(field, [(coefficient(), v) for v in rng.sample(vecs, k)])
+
+    def probes(added):
+        return [vector(), vector(), combination(added, min(2, len(added)))]
+
+    for _ in range(25):
+        vecs = [vector() for _ in range(rng.randint(3, 9))]
+        vecs += [combination(vecs, 3) for _ in range(rng.randint(1, 4))]
+        rng.shuffle(vecs)
+        ech, added = Echelon(field), []
+        for vec in vecs:
+            inside = not normal_form(field, gauss_jordan(field, added), vec)
+            assert (ech.add(vec) is None) == inside
+            added.append(vec)
+            ref = gauss_jordan(field, added)
+            assert set(ech.rows) == set(ref)
+            roll = rng.random()
+            if roll < 1 / 3:
+                assert ech.rref() == ref
+            elif roll < 2 / 3:
+                for probe in probes(added):
+                    assert ech.reduce(probe) == normal_form(field, ref, probe)
+        S = Subspace.from_echelon(ech)
+        assert S.rows == ref and S.dim == ech.dim
+        for probe in probes(added):
+            assert S.contains(probe) == (not normal_form(field, ref, probe))
