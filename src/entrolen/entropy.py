@@ -18,6 +18,7 @@ from .exact_linalg import rank_echelon
 from .folner import nested_sets
 from .shift_modules import (
     _quotient_split,
+    _SplitRows,
     _translates,
     bernoulli,
     cyclic_presentation,
@@ -89,9 +90,12 @@ def estimate(p: SubshiftPresentation, scheme, n_max: int) -> EntropyEstimate:
 
 
 def _splits(M, N, scheme, n_max, approx) -> list:
-    """(n, |F_n|, SesDims) for every window of the quotient of M by N."""
+    """(n, |F_n|, SesDims) for every window of the quotient of M by N,
+    from one _SplitRows: each translate is packed once per run, and T grows
+    across nested windows."""
+    rows = _SplitRows(M, N)
     return [
-        (n, len(F), _quotient_split(M, N, F, approx))
+        (n, len(F), _quotient_split(M, N, F, approx, rows))
         for n, F in _windows(M, scheme, n_max)
     ]
 

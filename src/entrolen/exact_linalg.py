@@ -355,6 +355,13 @@ class Echelon:
     def sibling(self) -> "Echelon":
         return Echelon(self.field)
 
+    def copy(self) -> "Echelon":
+        """An independent echelon of the same rows; no method rewrites a
+        stored row dict in place, so the copy shares them."""
+        ech = Echelon(self.field)
+        ech.rows, ech.solved = dict(self.rows), self.solved
+        return ech
+
     @staticmethod
     def pack(vec: dict) -> dict:
         return vec
@@ -392,6 +399,12 @@ class BitEchelon:
 
     def sibling(self) -> "BitEchelon":
         return BitEchelon(self.field, self.bits)
+
+    def copy(self) -> "BitEchelon":
+        """An independent echelon of the same rows, on the shared table."""
+        ech = self.sibling()
+        ech.rows, ech.pivots, ech.solved = dict(self.rows), self.pivots, self.solved
+        return ech
 
     def pack(self, vec: dict):
         """The packed row of vec: bit 0 and bit 1 of each coefficient go

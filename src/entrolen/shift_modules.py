@@ -125,7 +125,9 @@ def _check_same_ambient(M: SubshiftPresentation, N: SubshiftPresentation):
 
 def _translates(p: SubshiftPresentation, elements):
     """act(g, v) for g in elements, descending, and v a generator; the
-    descending scan keeps fill-in low for shift-structured inputs."""
+    descending scan keeps fill-in low for shift-structured inputs.  The
+    quotient split reads the same order from _SplitRows, which acts on and
+    packs each translate once per run."""
     c = p.cocycle
     for g in sorted(elements, reverse=True):
         for v in p.generators:
@@ -154,11 +156,48 @@ class SesDims:
     dim_window_meet: int
 
 
+class _SplitRows:
+    """Per-run state of _quotient_split over a sequence of windows.
+
+    It holds the root echelon, whose label table every echelon of the run
+    shares, the packed rows of M's and of N's translates at each g, acted
+    on and packed at most once per run, and the echelon of T_F(M), grown by
+    each window's new elements (exact: the rank depends only on the row
+    space); a window not containing the previous one restarts it."""
+
+    __slots__ = ("M", "N", "root", "grown", "prev")
+
+    def __init__(self, M: SubshiftPresentation, N: SubshiftPresentation):
+        self.M, self.N = (M, {}), (N, {})  # presentation, g -> packed rows
+        self.root = rank_echelon(M.field)
+        self.grown, self.prev = self.root.sibling(), frozenset()
+
+    def translates(self, side, elements):
+        """The packed rows of _translates(p, elements) for side = (p, cache)."""
+        (p, cache), pack = side, self.root.pack
+        for g in sorted(elements, reverse=True):
+            rows = cache.get(g)
+            if rows is None:
+                rows = cache[g] = tuple(pack(x) for x in _translates(p, (g,)))
+            yield from rows
+
+    def grow(self, elements: frozenset):
+        """The echelon of T_F(M) for the window F of these elements, shared
+        with the next window."""
+        if not self.prev <= elements:
+            self.grown, self.prev = self.root.sibling(), frozenset()
+        for x in self.translates(self.M, elements - self.prev):
+            self.grown.add(x)
+        self.prev = elements
+        return self.grown
+
+
 def _quotient_split(
     M: SubshiftPresentation,
     N: SubshiftPresentation,
     F: FiniteSubset,
     approx: StabilizationConfig | None = None,
+    rows: _SplitRows | None = None,
 ) -> SesDims:
     """Exact window dimensions (total, intersection, image); the identity
     dim_total = dim_intersection + dim_image holds in every output.  When
@@ -171,33 +210,36 @@ def _quotient_split(
     approx.stability_window consecutive steps; E_0 = F gives dim_sub and
     dim_window_meet.
 
-    The N translates go into an echelon of V = T_E(N) and into the echelon
-    of T, which then spans T + V, so dim(T meet V) = dim T + dim V -
-    dim(T + V).  The image dimension comes independently from reduction
-    of the M translates modulo V; the two routes must satisfy
+    The N translates go into an echelon of V = T_E(N) and into a copy of
+    the echelon of T, which then spans T + V, so dim(T meet V) = dim T +
+    dim V - dim(T + V).  The image dimension comes independently from
+    reduction of the M translates modulo V; the two routes must satisfy
     dim_total = intersection + image exactly, which is asserted.
+
+    rows is the _SplitRows(M, N) of a run over several windows: the
+    translates are then packed once per run and T grows across nested
+    windows, while V, T + V and the image are still built per window.
+    None starts a fresh one.
     """
     _check_same_ambient(M, N)
     if F.group != M.group:
         raise ValueError("window group does not match the presentation")
     approx = approx or DEFAULT_STABILIZATION
-    # the three echelons are siblings: rows packed by one go into any other
-    ech_T = rank_echelon(M.field)
-    translates = [ech_T.pack(v) for v in _translates(M, F.elements)]
-    for x in translates:
-        ech_T.add(x)
+    if rows is None:
+        rows = _SplitRows(M, N)
+    ech_T = rows.grow(F.elements)
     dim_total = ech_T.dim
 
     if not N.generators:
         return SesDims(dim_total, 0, dim_total, True, 0, 0, 0)
 
-    ech_N = ech_T.sibling()
+    # every echelon here is a sibling of rows.root: rows fit any of them
+    ech_T, ech_N = ech_T.copy(), rows.root.sibling()
     cap = streak = 0
     stabilized = False
     for steps, shell in enumerate(shells(M.group, F.elements)):
         before = cap
-        for vec in _translates(N, shell):
-            x = ech_T.pack(vec)
+        for x in rows.translates(rows.N, shell):
             if ech_N.add(x) is not None:  # else x already lies in T + V
                 ech_T.add(x)
         cap = dim_total + ech_N.dim - ech_T.dim
@@ -211,9 +253,9 @@ def _quotient_split(
         if steps == approx.max_steps:
             break
 
-    # T + V is no longer needed: free its rows, as wide as their pivots
-    image, ech_T = ech_T.sibling(), None
-    for x in translates:
+    # T + V is no longer needed: free the rows it added, as wide as their pivots
+    image, ech_T = rows.root.sibling(), None
+    for x in rows.translates(rows.M, F.elements):
         image.add(ech_N.reduce(x))
     dim_image = image.dim
     if dim_total != cap + dim_image:

@@ -16,7 +16,7 @@ from entrolen.entropy import (
 )
 from entrolen.exact_linalg import PrimeField
 from entrolen.folner import Boxes, BoxTimesZ2
-from entrolen.groups import FiniteSubset, FreeAbelian, set_product, ZCrossZ2
+from entrolen.groups import FiniteSubset, FreeAbelian, set_product, translate, ZCrossZ2
 from entrolen.shift_modules import (
     bernoulli,
     cyclic_presentation,
@@ -275,6 +275,7 @@ COEFFS = {
     "gf2": [1],
     "gf3": [1, 2],
     "gf4": [1, 2, 3],
+    "gf5": [1, 2, 4],
     "q": [Fraction(1), Fraction(-1), Fraction(2, 3)],
 }
 
@@ -374,6 +375,94 @@ def test_estimate_dims_equal_per_window_trajectories():
                 (n, len(scheme.set_at(n)), trajectory_echelon(p, scheme.set_at(n)).dim)
                 for n in range(1, n_max + 1)
             ]
+
+
+class _ShiftedBoxes:
+    """Boxes on Z^2, with F_n moved by (n, 0) for odd n: F_2 contains F_1,
+    and no later window contains its predecessor."""
+
+    group = FreeAbelian(2)
+
+    def set_at(self, n):
+        return translate((n % 2 * n, 0), Boxes(self.group).set_at(n))
+
+
+@pytest.mark.parametrize("kernel", ["rank_echelon", "dict"])
+def test_splits_equal_fresh_single_window_splits(monkeypatch, kernel):
+    """Every window of _splits, which packs each translate once per run and
+    grows T across nested windows, equals a fresh single-window
+    _quotient_split of the same F: on every field and group, under both
+    budgets, on nested schemes and on schemes that restart T."""
+    from entrolen import shift_modules
+    from entrolen.crossed_product import frobenius_cocycle
+    from entrolen.entropy import _splits
+    from entrolen.exact_linalg import Echelon, QuadraticField, RationalField
+    from entrolen.folner import default_scheme
+    from entrolen.groups import ball, Heisenberg
+    from entrolen.shift_modules import _quotient_split
+
+    if kernel == "dict":
+        monkeypatch.setattr(shift_modules, "rank_echelon", Echelon)
+    rng = random.Random(59)
+    groups = ((Z, 6), (FreeAbelian(2), 2), (ZZ2, 4), (Heisenberg(), 2))
+    cocycles = (
+        lambda G: trivial_cocycle(GF2, G),
+        lambda G: trivial_cocycle(GF3, G),
+        lambda G: frobenius_cocycle(QuadraticField(2), G),
+        lambda G: trivial_cocycle(PrimeField(5), G),
+        lambda G: trivial_cocycle(RationalField(), G),
+    )
+    cases = [(make(G), default_scheme(G), n_max) for G, n_max in groups for make in cocycles]
+    cases += [
+        (trivial_cocycle(GF3, Z), _BoxesAndHalfLines(), 7),
+        (trivial_cocycle(GF2, FreeAbelian(2)), _ShiftedBoxes(), 4),
+        (trivial_cocycle(RationalField(), FreeAbelian(2)), _ShiftedBoxes(), 4),
+    ]
+    budgets = (None, StabilizationConfig(stability_window=2, max_steps=1))
+    restarts = 0
+    for cocycle, scheme, n_max in cases:
+        support = ball(cocycle.group, 1).sorted_elements()
+        windows = [scheme.set_at(n) for n in range(1, n_max + 1)]
+        restarts += sum(not a.elements <= b.elements for a, b in zip(windows, windows[1:]))
+        for approx in budgets:
+            rank = rng.randint(1, 2)
+            M = _random_presentation(rng, cocycle, rank, support)
+            sub = _random_presentation(rng, cocycle, rank, support)
+            for N in (sub, M, zero_sub(M)) if approx is None else (sub,):
+                assert _splits(M, N, scheme, n_max, approx) == [
+                    (n, len(F), _quotient_split(M, N, F, approx))
+                    for n, F in enumerate(windows, start=1)
+                ]
+    # F_3, F_5 and F_7 of _BoxesAndHalfLines, F_3 and F_4 of each _ShiftedBoxes
+    assert restarts == 3 + 2 + 2
+
+
+def test_estimate_quotient_checks_the_split_on_every_window(monkeypatch):
+    """An image route that disagrees on window 2 of 4 stops the run there
+    with RuntimeError: the identity dim_total = intersection + image is
+    checked per window, not on the last one only."""
+    from entrolen import entropy
+    from entrolen.exact_linalg import BitEchelon
+
+    calls = []
+    split = entropy._quotient_split
+
+    def counted(*args):
+        calls.append(len(args[2]))
+        return split(*args)
+
+    reduce = BitEchelon.reduce
+    monkeypatch.setattr(entropy, "_quotient_split", counted)
+    # on window 2 the M translates reach the image unreduced modulo V
+    monkeypatch.setattr(
+        BitEchelon, "reduce", lambda ech, x: x if len(calls) == 2 else reduce(ech, x)
+    )
+    M, N = bernoulli(CZ3, 1), cyclic_presentation(CZ3, T_MINUS_1)
+    with pytest.raises(RuntimeError, match="internal inconsistency"):
+        estimate_quotient(M, N, BOXES, 4)
+    assert calls == [3, 5]
+    monkeypatch.setattr(BitEchelon, "reduce", reduce)
+    assert len(estimate_quotient(M, N, BOXES, 4).rows) == 4
 
 
 def test_stability_window_does_not_move_quotient_dims():

@@ -391,6 +391,38 @@ def test_int_row_steps_are_field_arithmetic(field):
         assert ech._unit(x, 1) == pack({0: field.mul(field.inv(x1), x0), 1: 1})
 
 
+@pytest.mark.parametrize("field", FINITE_FIELDS, ids=lambda f: f.name)
+def test_copy_leaves_the_original_unchanged(field):
+    """Adding to, reducing with and back-substituting a copy leave the
+    original's rows, pivots, solved flag and dim as they were; the dict
+    kernel's copy shares the row dicts, so none may be rewritten in place."""
+    rng = random.Random(67)
+    for _ in range(10):
+        vecs = _growth(rng, FreeAbelian(2), field)
+        cut = rng.randint(1, len(vecs) - 1)
+        ech = rank_echelon(field)
+        for vec in vecs[:cut]:
+            ech.add(ech.pack(vec))
+        if rng.random() < 0.5:  # copy a back-substituted echelon too
+            ech.reduce(ech.pack(vecs[-1]))
+
+        def state():
+            rows = {piv: dict(row) if isinstance(row, dict) else row
+                    for piv, row in ech.rows.items()}
+            return rows, getattr(ech, "pivots", None), ech.solved, ech.dim
+
+        before = state()
+        twin = ech.copy()
+        assert type(twin) is type(ech) and twin.rows == ech.rows
+        assert getattr(twin, "bits", None) is getattr(ech, "bits", None)
+        for vec in vecs[cut:]:
+            twin.add(twin.pack(vec))
+            twin.reduce(twin.pack(vec))  # back-substitutes the copy's rows
+        twin.add(twin.pack(vecs[0]))
+        assert state() == before
+        assert twin.dim == span(field, vecs).dim
+
+
 def test_rank_echelon_picks_the_kernel_by_field():
     for field in (GF2, GF3, GF4):
         ech = rank_echelon(field)
