@@ -11,11 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
+from math import prod
+from operator import add, mul
 
 from .crossed_product import CrossedElement, find_annihilator
-from .exact_linalg import rank_echelon
+from .exact_linalg import _ROW_FORMATS, BitEchelon, BoxBits, rank_echelon
 from .folner import nested_sets
+from .groups import FreeAbelian, ZCrossZ2
 from .shift_modules import (
     _quotient_split,
     _SplitRows,
@@ -70,23 +73,90 @@ def _estimate(dims, exhausted: tuple = ()) -> EntropyEstimate:
     return EntropyEstimate(rows, rows[-1].ratio, exhausted)
 
 
-def _trajectory_dims(p: SubshiftPresentation, windows):
+def _box_rows(p: SubshiftPresentation, window):
+    """The _BoxRows of p for the windows inside the hull of window(), or
+    None, and act + pack then: off Z^d and ZxZ2, for a caller-supplied rho,
+    off _ROW_FORMATS, and when the box would hold more than 4 times the
+    cells of window(), as a generator term far from the others makes it."""
+    group = p.group
+    shiftable = isinstance(group, (FreeAbelian, ZCrossZ2)) and p.field in _ROW_FORMATS
+    if not shiftable or p.cocycle.rho is not None:
+        return None
+    W, S = window().elements, [h for v in p.generators for h, _ in v]
+    free = 1 if isinstance(group, ZCrossZ2) else group.dim
+    torsion = len(group.identity) - free  # the Z2 bit of ZxZ2 spans [0, 1]
+    base, top = tuple(map(min, zip(*W)))[:free], tuple(map(max, zip(*W)))[:free]
+    lo = tuple(map(add, base, map(min, zip(*S)))) + (0,) * torsion
+    hi = tuple(map(add, top, map(max, zip(*S)))) + (1,) * torsion
+    if prod(b - a + 1 for a, b in zip(lo, hi)) > 4 * len(W):
+        return None
+    return _BoxRows(p, BitEchelon(p.field, BoxBits(lo, hi, p.rank)), base, top)
+
+
+class _BoxRows:
+    """Translates as bit shifts (Kronecker substitution, von zur Gathen and
+    Gerhard, Modern Computer Algebra, 8.4).  In the BoxBits order of root,
+    for g in the box [base, top], the packed act(g, v) is v moved to b, the
+    base with g's torsion bit, with sigma_g on its coefficients, shifted
+    left by the offset of g - b: each v is packed once per torsion bit and
+    sigma exponent mod 2, the order of the Frobenius."""
+
+    __slots__ = ("root", "base", "top", "rows", "sigma")
+
+    def __init__(self, p: SubshiftPresentation, root: BitEchelon, base, top):
+        self.root, self.base, self.top = root, base, top
+        mul_g, auto, frobenius = p.group.mul, p.field.apply_auto, p.cocycle.frobenius
+        self.rows = {
+            (t, e): tuple(
+                root.pack({(mul_g(base + t, h), j): auto(a, e) for (h, j), a in v.items()})
+                for v in p.generators
+            )
+            for t in product((0, 1), repeat=len(p.group.identity) - len(base))
+            for e in range(2 if frobenius else 1)
+        }
+        self.sigma = p.cocycle.sigma_exp if frobenius else None
+
+    def covers(self, elements) -> bool:
+        hull = zip(zip(*elements), self.base, self.top)
+        return all(a <= min(x) and max(x) <= b for x, a, b in hull)
+
+    def translates(self, elements):
+        """The packed rows of _translates(p, elements), all in the box."""
+        rows, sigma, free = self.rows, self.sigma, len(self.base)
+        strides = self.root.bits.strides[:free]
+        zero = sum(map(mul, self.base, strides))
+        for g in sorted(elements, reverse=True):
+            s = sum(map(mul, g, strides)) - zero
+            for x in rows[g[free:], sigma(g) % 2 if sigma else 0]:
+                yield x << s if type(x) is int else (x[0] << s, x[1] << s)
+
+
+def _trajectory_dims(p: SubshiftPresentation, windows, largest):
     """(n, |F|, dim T_F) for each (n, F), from one echelon grown by each
     window's new elements (exact: the rank depends only on the row space);
-    a window not containing the previous one restarts from an empty echelon."""
-    ech, prev = rank_echelon(p.field), frozenset()
+    a window not containing the previous one restarts from an empty echelon.
+
+    The rows are _BoxRows shifts in the box of largest(), the largest
+    window, where _box_rows grants that box, else act + pack.  A window
+    outside the box restarts the echelon in a box of its own, so no row
+    ever wraps."""
+    box, ech, prev = _box_rows(p, largest), None, frozenset()
     for n, F in windows:
-        if not prev <= F.elements:
-            ech, prev = rank_echelon(p.field), frozenset()
-        for vec in _translates(p, F.elements - prev):
-            ech.add(ech.pack(vec))
+        new = F.elements - prev
+        if box and not box.covers(new):
+            box, ech = _box_rows(p, lambda: F), None
+        if ech is None or not prev <= F.elements:
+            ech, new = box.root.sibling() if box else rank_echelon(p.field), F.elements
+        for x in box.translates(new) if box else map(ech.pack, _translates(p, new)):
+            ech.add(x)
         prev = F.elements
         yield n, len(F), ech.dim
 
 
 def estimate(p: SubshiftPresentation, scheme, n_max: int) -> EntropyEstimate:
     """Exact ratios dim T_{F_n} / |F_n| for n = 1..n_max."""
-    return _estimate(_trajectory_dims(p, _windows(p, scheme, n_max)))
+    windows = _windows(p, scheme, n_max)
+    return _estimate(_trajectory_dims(p, windows, lambda: scheme.set_at(n_max)))
 
 
 def _splits(M, N, scheme, n_max, approx) -> list:
@@ -167,7 +237,7 @@ def certified_upper_bound(
     for n in range(checked_from, n_check + 1):
         greedy_quasi_tile(scheme.set_at(n), tiles, eps)
     coeff_dim = p.coefficient_span().dim
-    dims = _trajectory_dims(p, zip(indices, tiles))
+    dims = _trajectory_dims(p, zip(indices, tiles), lambda: tiles[-1])
     ratios = [Fraction(dim, size) for _, size, dim in dims]
     bound = ow_upper_bound(coeff_dim, eps, ratios)
     return CertifiedBound(bound, eps, indices, tuple(ratios), checked_from, n_check)

@@ -127,7 +127,8 @@ def _translates(p: SubshiftPresentation, elements):
     """act(g, v) for g in elements, descending, and v a generator; the
     descending scan keeps fill-in low for shift-structured inputs.  The
     quotient split reads the same order from _SplitRows, which acts on and
-    packs each translate once per run."""
+    packs each translate once per run; entropy._BoxRows yields the same
+    rows, packed, as bit shifts."""
     c = p.cocycle
     for g in sorted(elements, reverse=True):
         for v in p.generators:

@@ -32,6 +32,26 @@ def test_entropy_bernoulli_rank3(capsys):
     assert len(lines) == 7
 
 
+def test_entropy_with_a_far_generator_term(capsys):
+    """A generator 10^8 wide along the inner coordinate of Z^2 is refused a
+    box and runs on act + pack, in its usual time and memory."""
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys,
+        "entropy",
+        "--group", "Z^2",
+        "--field", "gf2",
+        "--rank", "1",
+        "--gen", "1*(0,0)|1 + 1*(0,100000000)|1",
+        "--nmax", "5",
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["n,folner_size,trajectory_dim,ratio"] + [
+        f"{n},{(2 * n + 1) ** 2},{(2 * n + 1) ** 2},1/1" for n in range(1, 6)
+    ]
+    assert time.perf_counter() - start < 10
+
+
 def test_entropy_with_certification(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -348,6 +349,35 @@ class _BoxesAndHalfLines:
         return FiniteSubset(Z, [(k,) for k in range(lo, n + 1)])
 
 
+class _ShiftedBoxes:
+    """Boxes on Z^2, with F_n moved by (n, 0) for odd n: F_2 contains F_1,
+    and no later window contains its predecessor."""
+
+    group = FreeAbelian(2)
+
+    def set_at(self, n):
+        return translate((n % 2 * n, 0), Boxes(self.group).set_at(n))
+
+
+class _HalfLinesTimesZ2:
+    """_BoxesAndHalfLines times {0, 1} on ZxZ2."""
+
+    group = ZZ2
+
+    def set_at(self, n):
+        line = _BoxesAndHalfLines().set_at(n)
+        return FiniteSubset(ZZ2, [(k, t) for (k,) in line for t in (0, 1)])
+
+
+class _FarBoxes:
+    """Boxes on Z^2 moved by (10^8, -10^8)."""
+
+    group = FreeAbelian(2)
+
+    def set_at(self, n):
+        return translate((10**8, -(10**8)), Boxes(self.group).set_at(n))
+
+
 def test_estimate_dims_equal_per_window_trajectories():
     """The dims that estimate reads off one echelon grown across windows
     equal the trajectories rebuilt per window, nested scheme or not."""
@@ -364,6 +394,9 @@ def test_estimate_dims_equal_per_window_trajectories():
         (trivial_cocycle(RationalField(), Heisenberg()), None, 3),
         (trivial_cocycle(GF3, Z), _BoxesAndHalfLines(), 7),
         (trivial_cocycle(GF2, Z), _BoxesAndHalfLines(), 7),
+        (trivial_cocycle(GF2, FreeAbelian(2)), _ShiftedBoxes(), 4),
+        (frobenius_cocycle(QuadraticField(2), ZZ2), None, 5),
+        (trivial_cocycle(GF3, ZZ2), _HalfLinesTimesZ2(), 7),
     ]
     for cocycle, scheme, n_max in cases:
         scheme = scheme or default_scheme(cocycle.group)
@@ -375,16 +408,6 @@ def test_estimate_dims_equal_per_window_trajectories():
                 (n, len(scheme.set_at(n)), trajectory_echelon(p, scheme.set_at(n)).dim)
                 for n in range(1, n_max + 1)
             ]
-
-
-class _ShiftedBoxes:
-    """Boxes on Z^2, with F_n moved by (n, 0) for odd n: F_2 contains F_1,
-    and no later window contains its predecessor."""
-
-    group = FreeAbelian(2)
-
-    def set_at(self, n):
-        return translate((n % 2 * n, 0), Boxes(self.group).set_at(n))
 
 
 @pytest.mark.parametrize("kernel", ["rank_echelon", "dict"])
@@ -435,6 +458,100 @@ def test_splits_equal_fresh_single_window_splits(monkeypatch, kernel):
                 ]
     # F_3, F_5 and F_7 of _BoxesAndHalfLines, F_3 and F_4 of each _ShiftedBoxes
     assert restarts == 3 + 2 + 2
+
+
+def _act_and_pack_rows(monkeypatch, p, scheme, n_max):
+    """The rows of estimate with every box refused, so that each translate
+    goes through act + pack."""
+    from entrolen import entropy
+
+    with monkeypatch.context() as m:
+        m.setattr(entropy, "_box_rows", lambda p, window: None)
+        return estimate(p, scheme, n_max).rows
+
+
+def test_far_supports_and_windows_match_act_and_pack(monkeypatch):
+    """A generator support 10^8 wide gets no box and stays on act + pack; a
+    support or a window 10^8 from the identity gets a box as small as at the
+    identity, since the box is the hull of the window plus that of the
+    support.  Each prints the rows of act + pack."""
+    from entrolen.entropy import _box_rows
+
+    far = 10**8
+    Z2 = FreeAbelian(2)
+    wide = SubshiftPresentation(
+        trivial_cocycle(GF2, Z2), 1, [{((0, 0), 0): 1, ((0, far), 0): 1}]
+    )
+    moved = SubshiftPresentation(CZ3, 1, [{((far,), 0): 1, ((far + 1,), 0): 2}])
+    near = SubshiftPresentation(
+        trivial_cocycle(GF2, Z2), 2, [{((0, 0), 0): 1, ((1, -1), 1): 1}]
+    )
+    cases = [
+        (wide, Boxes(Z2), 5, None),
+        (moved, BOXES, 6, 2 * 6 + 2),
+        (near, _FarBoxes(), 4, 10 * 10),
+    ]
+    for p, scheme, n_max, cells in cases:
+        box = _box_rows(p, lambda: scheme.set_at(n_max))
+        if cells is None:
+            assert box is None
+        else:
+            lo, hi = box.root.bits.lo, box.root.bits.hi
+            assert math.prod(b - a + 1 for a, b in zip(lo, hi)) == cells
+        rows = estimate(p, scheme, n_max).rows
+        assert rows == _act_and_pack_rows(monkeypatch, p, scheme, n_max)
+        assert [r.dim for r in rows] == [
+            trajectory_echelon(p, scheme.set_at(n)).dim for n in range(1, n_max + 1)
+        ]
+
+
+def test_window_outside_the_box_restarts_in_a_box_that_covers_it(monkeypatch):
+    """On _ShiftedBoxes the box of F_4 covers F_1 and F_2 but not F_3,
+    which moved by (3, 0), and the box of F_3 does not cover F_4: estimate
+    asks for a box of F_4, of F_3 and of F_4 again, and for no other.  A
+    support 25 wide fits the box of F_4 but not that of F_3, so the run
+    goes on through act + pack from F_3 on and asks for no more boxes."""
+    from entrolen import entropy
+
+    asked = []
+    real = entropy._box_rows
+
+    def spy(p, window):
+        asked.append(window())
+        return real(p, window)
+
+    monkeypatch.setattr(entropy, "_box_rows", spy)
+    scheme = _ShiftedBoxes()
+    p = bernoulli(trivial_cocycle(GF2, scheme.group), 1)
+    assert [r.dim for r in estimate(p, scheme, 4).rows] == [9, 25, 49, 81]
+    assert asked == [scheme.set_at(4), scheme.set_at(3), scheme.set_at(4)]
+    asked.clear()
+    wide = SubshiftPresentation(p.cocycle, 1, [{((0, 0), 0): 1, ((25, 0), 0): 1}])
+    assert [r.dim for r in estimate(wide, scheme, 4).rows] == [
+        trajectory_echelon(wide, scheme.set_at(n)).dim for n in range(1, 5)
+    ]
+    assert asked == [scheme.set_at(4), scheme.set_at(3)]
+
+
+def test_certified_tile_ratios_equal_per_tile_trajectories():
+    """The tile ratios of certified_upper_bound, read off the shift-packed
+    box rows, equal the dims of the dict-kernel trajectory_echelon per tile."""
+    from entrolen.groups import ball
+
+    rng = random.Random(67)
+    cases = [
+        (trivial_cocycle(GF2, FreeAbelian(2)), Boxes(FreeAbelian(2))),
+        (CX3, BOXZ2),
+    ]
+    for cocycle, scheme in cases:
+        support = ball(cocycle.group, 1).sorted_elements()
+        for _ in range(4):
+            p = _random_presentation(rng, cocycle, rng.randint(1, 3), support)
+            cert = certified_upper_bound(p, scheme, Fraction(1, 10), [1, 2, 3], 3)
+            tiles = [scheme.set_at(i) for i in (1, 2, 3)]
+            assert cert.tile_ratios == tuple(
+                Fraction(trajectory_echelon(p, F).dim, len(F)) for F in tiles
+            )
 
 
 def test_estimate_quotient_checks_the_split_on_every_window(monkeypatch):

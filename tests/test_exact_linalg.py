@@ -374,6 +374,59 @@ def test_int_kernels_match_dict_echelon(group, field):
 
 
 @pytest.mark.parametrize("field", [GF2, GF3, GF4], ids=lambda f: f.name)
+@pytest.mark.parametrize(
+    "group",
+    [FreeAbelian(1), FreeAbelian(2), FreeAbelian(3), ZCrossZ2()],
+    ids=lambda g: g.name,
+)
+def test_box_shifts_equal_packed_act(group, field):
+    """Seeded: each translate that entropy._BoxRows yields as a bit shift
+    equals pack(act(g, v)) through the same BoxBits table, for every g in
+    ball(R), negative coordinates included, ranks 1-3, generators with
+    negative coordinates, and over GF(4) with the Frobenius twist too."""
+    from entrolen.crossed_product import act, frobenius_cocycle, trivial_cocycle
+    from entrolen.entropy import _box_rows
+    from entrolen.folner import default_scheme
+    from entrolen.shift_modules import SubshiftPresentation
+
+    rng = random.Random(f"box:{group.name}:{field.name}")
+    cocycles = [trivial_cocycle(field, group)]
+    if field == GF4:
+        cocycles.append(frobenius_cocycle(field, group))
+    hull = default_scheme(group).set_at(3)  # the box around ball(3)
+    support = ball(group, 2).sorted_elements()
+    for cocycle in cocycles:
+        for rank in (1, 2, 3):
+            gens = [
+                {(g, rng.randrange(rank)): _nonzero(rng, field)
+                 for g in rng.sample(support, rng.randint(1, 4))}
+                for _ in range(rng.randint(1, 3))
+            ]
+            p = SubshiftPresentation(cocycle, rank, gens)
+            box = _box_rows(p, lambda: hull)
+            assert box is not None
+            assert box.covers(hull.elements)
+            for g in ball(group, 3).sorted_elements():
+                assert list(box.translates({g})) == [
+                    box.root.pack(act(g, v, cocycle)) for v in p.generators
+                ]
+
+
+def test_box_bits_are_the_label_order():
+    """BoxBits numbers the labels of its box 0, 1, ... in tuple order, and
+    refuses a label outside the box instead of wrapping it."""
+    from entrolen.exact_linalg import BoxBits
+
+    bits = BoxBits((-1, 0), (1, 1), 2)
+    labels = sorted(((a, t), j) for a in (-1, 0, 1) for t in (0, 1) for j in (0, 1))
+    assert [bits.get(lbl) for lbl in labels] == list(range(12))
+    assert bits.strides == (4, 2)
+    for outside in (((2, 0), 0), ((-2, 1), 1), ((0, 2), 0)):
+        with pytest.raises(ValueError):
+            bits.get(outside)
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, GF4], ids=lambda f: f.name)
 def test_int_row_steps_are_field_arithmetic(field):
     """The packed row step x - x1*row and the normalization x / x1, for
     rows and x on two labels with every coefficient; over GF(3) label 0
