@@ -506,6 +506,9 @@ def main(argv=None) -> int:
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except MemoryError:
+        print("error: out of memory; the input is too large", file=sys.stderr)
+        return EXIT_BUDGET
 
 
 if __name__ == "__main__":

@@ -12,13 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, product
-from math import prod
-from operator import add, mul
+from operator import mul
 
 from .crossed_product import CrossedElement, find_annihilator
-from .exact_linalg import _ROW_FORMATS, BitEchelon, BoxBits, rank_echelon
+from .exact_linalg import _ROW_FORMATS, BitEchelon, rank_echelon
 from .folner import nested_sets
-from .groups import FreeAbelian, ZCrossZ2
+from .groups import FreeAbelian, hull_box, ZCrossZ2
 from .shift_modules import (
     _quotient_split,
     _SplitRows,
@@ -76,21 +75,19 @@ def _estimate(dims, exhausted: tuple = ()) -> EntropyEstimate:
 def _box_rows(p: SubshiftPresentation, window):
     """The _BoxRows of p for the windows inside the hull of window(), or
     None, and act + pack then: off Z^d and ZxZ2, for a caller-supplied rho,
-    off _ROW_FORMATS, and when the box would hold more than 4 times the
-    cells of window(), as a generator term far from the others makes it."""
+    off _ROW_FORMATS, and where groups.hull_box refuses the box of window()
+    plus the generator supports, as a generator term far out makes it."""
     group = p.group
     shiftable = isinstance(group, (FreeAbelian, ZCrossZ2)) and p.field in _ROW_FORMATS
     if not shiftable or p.cocycle.rho is not None:
         return None
-    W, S = window().elements, [h for v in p.generators for h, _ in v]
-    free = 1 if isinstance(group, ZCrossZ2) else group.dim
-    torsion = len(group.identity) - free  # the Z2 bit of ZxZ2 spans [0, 1]
-    base, top = tuple(map(min, zip(*W)))[:free], tuple(map(max, zip(*W)))[:free]
-    lo = tuple(map(add, base, map(min, zip(*S)))) + (0,) * torsion
-    hi = tuple(map(add, top, map(max, zip(*S)))) + (1,) * torsion
-    if prod(b - a + 1 for a, b in zip(lo, hi)) > 4 * len(W):
+    W = window().elements
+    root = hull_box(group, (W, [h for v in p.generators for h, _ in v]), len(W), p.rank)
+    if root is None:
         return None
-    return _BoxRows(p, BitEchelon(p.field, BoxBits(lo, hi, p.rank)), base, top)
+    free = 1 if isinstance(group, ZCrossZ2) else group.dim
+    base, top = tuple(map(min, zip(*W)))[:free], tuple(map(max, zip(*W)))[:free]
+    return _BoxRows(p, BitEchelon(p.field, root), base, top)
 
 
 class _BoxRows:

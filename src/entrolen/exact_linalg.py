@@ -376,8 +376,8 @@ class BitEchelon:
     """Rows packed into ints in the field's _ROW_FORMATS entry, for
     dimensions and reduce-to-zero verdicts (M4RI without its Gray-code
     tables).  A label's bit is its order of first appearance in the table
-    that sibling echelons share, or its index in a BoxBits passed as that
-    table, and a row's pivot is its highest bit, with coefficient 1.
+    that sibling echelons share, or its index in a groups.BoxBits passed as
+    that table, and a row's pivot is its highest bit, with coefficient 1.
 
     Before the first reduce after an add, each row is reduced against the
     rows with lower pivots, in increasing pivot order, so that no row holds
@@ -454,27 +454,6 @@ class BitEchelon:
         self.pivots |= 1 << top
         self.solved = False
         return top
-
-
-class BoxBits:
-    """The bit table of the labels (h, j) with lo <= h <= hi coordinatewise
-    and 0 <= j < rank: the mixed-radix index of (h, j), lexicographic with
-    j innermost, so bit order is label order and a row shifted by
-    strides[i] has each label one step further in coordinate i."""
-
-    __slots__ = ("lo", "hi", "strides")
-
-    def __init__(self, lo: tuple, hi: tuple, rank: int):
-        strides = [rank]
-        for a, b in zip(lo[:0:-1], hi[:0:-1]):
-            strides.insert(0, strides[0] * (b - a + 1))
-        self.lo, self.hi, self.strides = lo, hi, tuple(strides)
-
-    def get(self, label) -> int:
-        h, j = label
-        if not all(a <= x <= b for x, a, b in zip(h, self.lo, self.hi)):
-            raise ValueError(f"label {label!r} outside the box")
-        return j + sum((x - a) * k for x, a, k in zip(h, self.lo, self.strides))
 
 
 def _gf3_sub(x, row, bit):

@@ -9,6 +9,7 @@ routine here ever claims a limit.
 from __future__ import annotations
 
 import itertools
+from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -17,47 +18,56 @@ from .groups import (
     FiniteSubset,
     FreeAbelian,
     Heisenberg,
+    hull_box,
     shells,
     ZCrossZ2,
 )
 
 
 def _union_and_meet(A: FiniteSubset, C: FiniteSubset):
-    """Union and intersection of the right translates A c^{-1}, c in C,
-    holding one translate at a time: xc in A exactly when x in A c^{-1}."""
-    _check_pair(A, C)
-    right, inv = A.group.right_translate, A.group.inv
-    union, meet = set(), None
-    for c in C.sorted_elements():
-        translate = right(inv(c), A.elements)
+    """Union and intersection of the right translates A c^{-1}, c in C, one
+    held at a time, and the map of either to its elements: xc in A exactly
+    when x in A c^{-1}.  A translate is a shift of A's mask in the box
+    hull(A) + hull(C^{-1} + {e}) where groups.hull_box grants it, else a set."""
+    A._require_same_group(C)
+    if len(C) == 0:
+        raise ValueError("C must be nonempty")
+    group = A.group
+    steps = [group.inv(c) for c in C.sorted_elements()]
+    box = hull_box(group, (A.elements, [group.identity, *steps]), len(A))
+    if box is None:
+        right = group.right_translate
+        translates, members = (right(g, A.elements) for g in steps), frozenset
+    else:
+        mask = box.mask(A.elements)
+        translates, members = (group.shift(box, mask, g) for g in steps), box.members
+    meet = next(translates)
+    union = copy(meet)  # a set is then updated in place
+    for translate in translates:
         union |= translate
-        if meet is None:
-            meet = translate
-        else:
-            meet &= translate
-    return union, meet
+        meet &= translate
+    return union, meet, members
 
 
 def exterior(A: FiniteSubset, C: FiniteSubset) -> FiniteSubset:
     """Out_C(A) = {x : xC meets A}, i.e. A C^{-1}."""
-    return FiniteSubset._raw(A.group, frozenset(_union_and_meet(A, C)[0]))
+    union, _, members = _union_and_meet(A, C)
+    return FiniteSubset._raw(A.group, members(union))
 
 
 def interior(A: FiniteSubset, C: FiniteSubset) -> FiniteSubset:
     """In_C(A) = {x : xC contained in A}."""
-    return FiniteSubset._raw(A.group, frozenset(_union_and_meet(A, C)[1]))
+    _, meet, members = _union_and_meet(A, C)
+    return FiniteSubset._raw(A.group, members(meet))
 
 
 def boundary(A: FiniteSubset, C: FiniteSubset) -> FiniteSubset:
-    """Boundary = exterior minus interior."""
-    union, meet = _union_and_meet(A, C)
-    return FiniteSubset._raw(A.group, frozenset(union - meet))
-
-
-def _check_pair(A: FiniteSubset, C: FiniteSubset):
-    A._require_same_group(C)
-    if len(C) == 0:
-        raise ValueError("C must be nonempty")
+    """Boundary = exterior minus interior.  On Z^d and ZxZ2 this is the
+    union mask minus the meet mask, and only its bits are decoded; sets stay
+    on the Heisenberg group and where a far element would make the box
+    hold more than 4 |A| cells."""
+    union, meet, members = _union_and_meet(A, C)
+    return FiniteSubset._raw(A.group, members(union ^ meet))  # meet <= union
 
 
 @dataclass(frozen=True)

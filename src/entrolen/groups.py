@@ -3,15 +3,18 @@
 Elements are plain tuples of ints (the order-two component of Z x Z/2 is a
 0/1 bit), so equality is structural, hashing is cheap, and the built-in
 lexicographic tuple order doubles as the canonical total order used for
-deterministic scans and column ordering downstream.
+deterministic scans and column ordering downstream.  On Z^d and ZxZ2 a set
+inside a box is also an int mask in the box's BoxBits order, and a
+translate is one shift of it.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import islice
-from operator import add
+from itertools import islice, repeat
+from math import prod
+from operator import add, floordiv, mod, mul, sub
 
 
 @dataclass(frozen=True)
@@ -61,6 +64,11 @@ class FreeAbelian:
 
     right_translate = left_translate  # {a*g : a in elements}, the same set
 
+    def shift(self, box, mask: int, g) -> int:
+        """The mask of gA from the mask of A, for A and gA in the box."""
+        s = sum(map(mul, g, box.strides))
+        return mask << s if s >= 0 else mask >> -s
+
     def inv(self, g):
         return tuple(-a for a in g)
 
@@ -106,6 +114,16 @@ class ZCrossZ2:
         return {(x + a, t ^ s) for a, t in elements}
 
     right_translate = left_translate
+
+    def shift(self, box, mask: int, g) -> int:
+        """FreeAbelian.shift; a torsion bit 1 first swaps each bit pair
+        (n, 0), (n, 1), the two innermost labels at each n."""
+        x, s = g
+        if s:
+            evens = (4 ** (box.size >> 1) - 1) // 3  # the bits (n, 0)
+            mask = (mask & evens) << 1 | mask >> 1 & evens
+        x *= box.strides[0]
+        return mask << x if x >= 0 else mask >> -x
 
     def inv(self, g):
         return (-g[0], g[1])
@@ -331,3 +349,65 @@ def ball(group, r: int) -> FiniteSubset:
         raise ValueError("radius must be >= 0")
     layers = islice(shells(group, (group.identity,)), r + 1)
     return FiniteSubset._raw(group, frozenset().union(*layers))
+
+
+class BoxBits:
+    """The bit table of the labels (h, j) with lo <= h <= hi coordinatewise
+    and 0 <= j < rank: the mixed-radix index of (h, j), lexicographic with
+    j innermost, so bit order is label order and a row shifted by
+    strides[i] has each label one step further in coordinate i.  At rank 1
+    the labels are the elements h, and a set inside the box is the int
+    mask of their bits (mask, members; the group's shift translates it)."""
+
+    __slots__ = ("lo", "hi", "strides", "size")
+
+    def __init__(self, lo: tuple, hi: tuple, rank: int = 1):
+        strides = [rank]
+        for a, b in zip(lo[::-1], hi[::-1]):
+            strides.insert(0, strides[0] * (b - a + 1))
+        self.lo, self.hi, self.size, self.strides = lo, hi, strides[0], tuple(strides[1:])
+
+    def get(self, label) -> int:
+        h, j = label
+        if not all(a <= x <= b for x, a, b in zip(h, self.lo, self.hi)):
+            raise ValueError(f"label {label!r} outside the box")
+        return j + sum((x - a) * k for x, a, k in zip(h, self.lo, self.strides))
+
+    def mask(self, elements) -> int:
+        """The mask of a set of elements of the box, read as one digit string
+        by int(_, 2): each element costs one digit, not the mask's width."""
+        index = [self.size - 1 + sum(map(mul, self.lo, self.strides))] * len(elements)
+        for column, k in zip(zip(*elements), self.strides):
+            index = map(sub, index, map(mul, column, repeat(k)))
+        digits = bytearray(b"0") * self.size
+        for i in index:
+            digits[i] = 49  # b"1"; digit i is bit size - 1 - i
+        return int(digits, 2)
+
+    def members(self, mask: int) -> frozenset:
+        """The elements whose bits are set in mask."""
+        digits = bin(mask)[:1:-1]  # digits[i] is bit i
+        found = [m.start() for m in re.finditer("1", digits)]
+        return frozenset(zip(*(
+            map(add, repeat(a), map(mod, map(floordiv, found, repeat(k)), repeat(b - a + 1)))
+            for a, b, k in zip(self.lo, self.hi, self.strides)
+        )))
+
+
+def hull_box(group, sets, cells: int, rank: int = 1):
+    """The BoxBits over hull(S_1) + hull(S_2) + ..., the sum of the
+    coordinate hulls of the sets, where the Z2 bit of ZxZ2 spans [0, 1].
+    None off Z^d and ZxZ2, whose translates are not shifts, for an empty
+    set, and for a box of more than 4 times cells cells, as one element far
+    from the others makes it."""
+    if not isinstance(group, (FreeAbelian, ZCrossZ2)) or not all(sets):
+        return None
+    free = 1 if isinstance(group, ZCrossZ2) else group.dim
+    lo = hi = (0,) * free
+    for columns in (list(zip(*S))[:free] for S in sets):
+        lo, hi = tuple(map(add, lo, map(min, columns))), tuple(map(add, hi, map(max, columns)))
+    torsion = len(group.identity) - free
+    lo, hi = lo + (0,) * torsion, hi + (1,) * torsion
+    if prod(b - a + 1 for a, b in zip(lo, hi)) > 4 * cells:
+        return None
+    return BoxBits(lo, hi, rank)

@@ -11,9 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor
+from functools import reduce
+from itertools import repeat
+from math import ceil, floor
+from operator import le, or_
 
-from .groups import FiniteSubset, translate
+from .groups import FiniteSubset, hull_box, translate
 
 
 def _tiling_eps(eps) -> Fraction:
@@ -218,6 +221,10 @@ def check_quasi_tiling(A: FiniteSubset, t: QuasiTiling) -> TilingReport:
     return TilingReport(conditions, cond1_ok and cond2_ok and cond3_ok)
 
 
+def _inside(cells: int, free: int) -> bool:
+    return not cells & ~free
+
+
 class TilingFailed(Exception):
     """Greedy placement could not reach the required cover."""
 
@@ -230,11 +237,14 @@ def greedy_quasi_tile(A: FiniteSubset, tiles, eps) -> QuasiTiling:
     """Greedy tiling: largest tiles first, centers scanned in canonical
     order; a center is accepted when its translate lies in A, misses every
     other tile's placed region, and overlaps its own class by strictly
-    less than an eps fraction of the tile.
+    less than an eps fraction of the tile T, in fewer than ceil(eps |T|)
+    cells.  On Z^d and ZxZ2 the sets are masks in the box hull(A) +
+    hull(T_1 + ... + {e}) and a translate is one shift; sets stay on the
+    Heisenberg group and where the box would hold more than 4 |A| cells.
 
     Raises TilingFailed when the placed regions do not reach a
     (1 - eps)-cover of A; on success the output provably passes
-    check_quasi_tiling.
+    check_quasi_tiling, which checks it on sets.
     """
     eps = _tiling_eps(eps)
     tiles = list(tiles)
@@ -247,30 +257,33 @@ def greedy_quasi_tile(A: FiniteSubset, tiles, eps) -> QuasiTiling:
     if len(A) == 0:
         raise ValueError("target must be nonempty")
 
+    group = A.group
+    reach = [group.identity, *(h for T in tiles for h in T.elements)]
+    box = hull_box(group, (A.elements, reach), len(A))
+    if box is None:
+        full, count, inside = set(A.elements), len, le
+        translates = [map(group.left_translate, A, repeat(T.elements)) for T in tiles]
+    else:
+        base = tuple(map(min, zip(*A.elements)))  # ctr*T = (ctr base^-1) base*T
+        back = group.inv(base)
+        steps = [group.mul(ctr, back) for ctr in A]
+        full, count, inside = box.mask(A.elements), int.bit_count, _inside
+        masks = (box.mask(group.left_translate(base, T.elements)) for T in tiles)
+        translates = [map(group.shift, repeat(box), repeat(m), steps) for m in masks]
     order = sorted(range(len(tiles)), key=lambda i: -len(tiles[i]))
-    placed_by_class: list[set] = [set() for _ in tiles]
+    placed = [type(full)() for _ in tiles]  # empty sets or masks
     centers: list[list] = [[] for _ in tiles]
-    left = A.group.left_translate
     for i in order:
-        tile = tiles[i].elements
-        own = placed_by_class[i]
-        free = A.elements.difference(
-            *(s for j, s in enumerate(placed_by_class) if j != i)
-        )
-        limit = eps * len(tile)
-        for ctr in A:
-            cells = left(ctr, tile)
-            if not cells <= free:
-                continue
-            if len(cells & own) >= limit:
+        free, own = full ^ reduce(or_, placed), placed[i]  # the others lie in A
+        quota = ceil(eps * len(tiles[i]))
+        for ctr, cells in zip(A, translates[i]):
+            if not inside(cells, free) or count(cells & own) >= quota:
                 continue
             centers[i].append(ctr)
             own |= cells
+        placed[i] = own
 
-    covered: set = set()
-    for s in placed_by_class:
-        covered |= s
-    cover = Fraction(len(covered), len(A))
+    cover = Fraction(count(reduce(or_, placed)), len(A))
     if cover < 1 - eps:
         raise TilingFailed(
             f"greedy cover {cover} below required {1 - eps}", cover=cover

@@ -730,3 +730,22 @@ def test_large_fields_are_built_quickly(capsys, args):
     assert code == 0
     assert out.splitlines()[-1] in ("2,5,5,1/1", "associativity_samples=12")
     assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize("argv", [
+    ["folner-ratios", "--group", "Z^2", "--nmax", "1", "--cradius", "3000"],
+    ["tile", "--group", "Z^2", "--target", "5000", "--tiles", "1", "--eps", "1/4"],
+])
+def test_out_of_memory_exits_3_with_one_line(capsys, monkeypatch, argv):
+    """An input too large for memory ends in one error line and exit 3, not
+    a MemoryError traceback; the window builder raises it here in place of
+    allocating a 36-million-cell box."""
+
+    def out_of_memory(self, n):
+        raise MemoryError
+
+    monkeypatch.setattr("entrolen.folner.Boxes.set_at", out_of_memory)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err == "error: out of memory; the input is too large\n"

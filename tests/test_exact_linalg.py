@@ -415,7 +415,7 @@ def test_box_shifts_equal_packed_act(group, field):
 def test_box_bits_are_the_label_order():
     """BoxBits numbers the labels of its box 0, 1, ... in tuple order, and
     refuses a label outside the box instead of wrapping it."""
-    from entrolen.exact_linalg import BoxBits
+    from entrolen.groups import BoxBits
 
     bits = BoxBits((-1, 0), (1, 1), 2)
     labels = sorted(((a, t), j) for a in (-1, 0, 1) for t in (0, 1) for j in (0, 1))
