@@ -15,6 +15,7 @@ import os
 import sys
 from fractions import Fraction
 from itertools import islice
+from math import comb
 
 from .crossed_product import (
     _parse_terms,
@@ -24,8 +25,8 @@ from .crossed_product import (
     validate_cocycle,
 )
 from .exact_linalg import field_from_name
-from .folner import boundary, default_scheme, nested_sets, scheme_from_name
-from .groups import ball, format_group_element, group_from_name
+from .folner import boundary, default_scheme, nested_sets, scheme_from_name, WordBalls
+from .groups import format_group_element, FreeAbelian, group_from_name, ZCrossZ2
 from .entropy import (
     addition_check,
     certified_upper_bound,
@@ -44,6 +45,9 @@ from .tiling import check_quasi_tiling, greedy_quasi_tile, TilingFailed
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
+# The most cells of a window named by --cradius, --target or --tiles on Z^d
+# or ZxZ2, counted before it is built: 10^6 cells of Z^2 take about 93 MB.
+MAX_CELLS = 10**6
 
 
 def _fmt_fraction(f: Fraction) -> str:
@@ -420,11 +424,27 @@ def _cmd_zerodiv(run: RunConfig) -> int:
     return _budget_status(report.quotient.exhausted)
 
 
+def _set_at(scheme, n: int, key: str):
+    """scheme.set_at(n); exit 2 first if it holds over MAX_CELLS cells: a
+    box, or an L1 ball of Z^d or B_n = [-n, n] x {0} + [1-n, n-1] x {1} of
+    ZxZ2 (other groups are not counted)."""
+    group, boxed, cells = scheme.group, scheme.name != "balls", 0
+    if isinstance(group, ZCrossZ2):
+        cells = 4 * n + 2 if boxed else max(4 * n, 1)
+    elif isinstance(group, FreeAbelian):
+        d = group.dim
+        cells = (2 * n + 1) ** d if boxed else sum(
+            2**k * comb(d, k) * comb(n, k) for k in range(d + 1))
+    if cells > MAX_CELLS:
+        raise CliError(f"--{key} {n} names {cells} cells, over the limit of {MAX_CELLS}")
+    return scheme.set_at(n)
+
+
 def _cmd_tile(run: RunConfig) -> int:
     group = run.group()
     scheme = run.scheme(group)
-    target = scheme.set_at(run.index("target"))
-    tiles = [scheme.set_at(i) for i in run.index("tiles")]
+    target = _set_at(scheme, run.index("target"), "target")
+    tiles = [_set_at(scheme, i, "tiles") for i in run.index("tiles")]
     eps = run.require("eps")
     try:
         tiling = greedy_quasi_tile(target, tiles, eps)
@@ -454,12 +474,9 @@ def _cmd_folner(run: RunConfig) -> int:
     radius = run.get("cradius", 1)
     if radius < 0:
         raise CliError("radius must be >= 0")
-    if shape == "ball":
-        C = ball(group, radius)
-    elif scheme.name in ("boxes", "boxz2"):
-        C = scheme.set_at(radius)
-    else:
+    if shape == "box" and scheme.name not in ("boxes", "boxz2"):
         raise CliError("--cshape box needs a box scheme")
+    C = _set_at(scheme if shape == "box" else WordBalls(group), radius, "cradius")
     lines = ["n,folner_size,boundary_size,ratio"]
     for n, F in islice(nested_sets(scheme, n_max), 1, None):
         b = len(boundary(F, C))

@@ -82,11 +82,12 @@ def _box_rows(p: SubshiftPresentation, window):
     if not shiftable or p.cocycle.rho is not None:
         return None
     W = window().elements
-    root = hull_box(group, (W, [h for v in p.generators for h, _ in v]), len(W), p.rank)
+    columns, support = list(zip(*W)), [h for v in p.generators for h, _ in v]
+    root = hull_box(group, (columns, list(zip(*support))), len(W), p.rank)
     if root is None:
         return None
     free = 1 if isinstance(group, ZCrossZ2) else group.dim
-    base, top = tuple(map(min, zip(*W)))[:free], tuple(map(max, zip(*W)))[:free]
+    base, top = tuple(map(min, columns[:free])), tuple(map(max, columns[:free]))
     return _BoxRows(p, BitEchelon(p.field, root), base, top)
 
 
@@ -158,8 +159,8 @@ def estimate(p: SubshiftPresentation, scheme, n_max: int) -> EntropyEstimate:
 
 def _splits(M, N, scheme, n_max, approx) -> list:
     """(n, |F_n|, SesDims) for every window of the quotient of M by N,
-    from one _SplitRows: each translate is packed once per run, and T grows
-    across nested windows."""
+    from one _SplitRows: each translate is packed once per run, and T, V
+    and T + V grow across nested windows."""
     rows = _SplitRows(M, N)
     return [
         (n, len(F), _quotient_split(M, N, F, approx, rows))

@@ -34,12 +34,13 @@ def _union_and_meet(A: FiniteSubset, C: FiniteSubset):
         raise ValueError("C must be nonempty")
     group = A.group
     steps = [group.inv(c) for c in C.sorted_elements()]
-    box = hull_box(group, (A.elements, [group.identity, *steps]), len(A))
+    columns = list(zip(*A.elements))
+    box = hull_box(group, (columns, list(zip(group.identity, *steps))), len(A))
     if box is None:
         right = group.right_translate
         translates, members = (right(g, A.elements) for g in steps), frozenset
     else:
-        mask = box.mask(A.elements)
+        mask = box.mask(columns)
         translates, members = (group.shift(box, mask, g) for g in steps), box.members
     meet = next(translates)
     union = copy(meet)  # a set is then updated in place

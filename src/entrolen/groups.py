@@ -373,11 +373,13 @@ class BoxBits:
             raise ValueError(f"label {label!r} outside the box")
         return j + sum((x - a) * k for x, a, k in zip(h, self.lo, self.strides))
 
-    def mask(self, elements) -> int:
-        """The mask of a set of elements of the box, read as one digit string
-        by int(_, 2): each element costs one digit, not the mask's width."""
-        index = [self.size - 1 + sum(map(mul, self.lo, self.strides))] * len(elements)
-        for column, k in zip(zip(*elements), self.strides):
+    def mask(self, columns) -> int:
+        """The mask of a set of elements of the box, given by its columns
+        zip(*elements) as hull_box takes them, read as one digit string by
+        int(_, 2): each element costs one digit, not the mask's width."""
+        count = len(columns[0]) if columns else 0
+        index = [self.size - 1 + sum(map(mul, self.lo, self.strides))] * count
+        for column, k in zip(columns, self.strides):
             index = map(sub, index, map(mul, column, repeat(k)))
         digits = bytearray(b"0") * self.size
         for i in index:
@@ -396,15 +398,16 @@ class BoxBits:
 
 def hull_box(group, sets, cells: int, rank: int = 1):
     """The BoxBits over hull(S_1) + hull(S_2) + ..., the sum of the
-    coordinate hulls of the sets, where the Z2 bit of ZxZ2 spans [0, 1].
-    None off Z^d and ZxZ2, whose translates are not shifts, for an empty
-    set, and for a box of more than 4 times cells cells, as one element far
-    from the others makes it."""
+    coordinate hulls of the sets, each given by its columns list(zip(*S)),
+    which BoxBits.mask takes too, so one transpose serves both; the Z2 bit
+    of ZxZ2 spans [0, 1].  None off Z^d and ZxZ2, whose translates are not
+    shifts, for an empty set, and for a box of more than 4 times cells
+    cells, as one element far from the others makes it."""
     if not isinstance(group, (FreeAbelian, ZCrossZ2)) or not all(sets):
         return None
     free = 1 if isinstance(group, ZCrossZ2) else group.dim
     lo = hi = (0,) * free
-    for columns in (list(zip(*S))[:free] for S in sets):
+    for columns in (S[:free] for S in sets):
         lo, hi = tuple(map(add, lo, map(min, columns))), tuple(map(add, hi, map(max, columns)))
     torsion = len(group.identity) - free
     lo, hi = lo + (0,) * torsion, hi + (1,) * torsion

@@ -12,6 +12,7 @@ outcome carries an explicit stabilized/budget-exhausted flag.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .crossed_product import (
     _add_term,
@@ -162,16 +163,17 @@ class _SplitRows:
 
     It holds the root echelon, whose label table every echelon of the run
     shares, the packed rows of M's and of N's translates at each g, acted
-    on and packed at most once per run, and the echelon of T_F(M), grown by
-    each window's new elements (exact: the rank depends only on the row
-    space); a window not containing the previous one restarts it."""
+    on and packed at most once per run, and the running echelons of
+    T = T_F(M), V = T_F(N) and W = T + V, grown by each window's new
+    elements (exact: a rank depends only on the row space); a window not
+    containing the previous one restarts all three."""
 
-    __slots__ = ("M", "N", "root", "grown", "prev")
+    __slots__ = ("M", "N", "root", "T", "V", "W", "prev")
 
     def __init__(self, M: SubshiftPresentation, N: SubshiftPresentation):
         self.M, self.N = (M, {}), (N, {})  # presentation, g -> packed rows
         self.root = rank_echelon(M.field)
-        self.grown, self.prev = self.root.sibling(), frozenset()
+        self.prev = None  # the first grow starts the echelons
 
     def translates(self, side, elements):
         """The packed rows of _translates(p, elements) for side = (p, cache)."""
@@ -183,14 +185,18 @@ class _SplitRows:
             yield from rows
 
     def grow(self, elements: frozenset):
-        """The echelon of T_F(M) for the window F of these elements, shared
-        with the next window."""
-        if not self.prev <= elements:
-            self.grown, self.prev = self.root.sibling(), frozenset()
-        for x in self.translates(self.M, elements - self.prev):
-            self.grown.add(x)
+        """Bring T, V and W to the window F of these elements."""
+        if self.prev is None or not self.prev <= elements:
+            self.T, self.V, self.W = (self.root.sibling() for _ in range(3))
+            self.prev = frozenset()
+        new, T, V, W = elements - self.prev, self.T, self.V, self.W
+        for x in self.translates(self.M, new):
+            T.add(x)
+            W.add(x)
+        for x in self.translates(self.N, new):
+            if V.add(x) is not None:  # else x already lies in W
+                W.add(x)
         self.prev = elements
-        return self.grown
 
 
 def _quotient_split(
@@ -211,16 +217,16 @@ def _quotient_split(
     approx.stability_window consecutive steps; E_0 = F gives dim_sub and
     dim_window_meet.
 
-    The N translates go into an echelon of V = T_E(N) and into a copy of
-    the echelon of T, which then spans T + V, so dim(T meet V) = dim T +
-    dim V - dim(T + V).  The image dimension comes independently from
-    reduction of the M translates modulo V; the two routes must satisfy
-    dim_total = intersection + image exactly, which is asserted.
+    V = T_E(N) and T + V start from the running echelons of rows, which
+    are already step 0, and take the N translates of the shells of E_m
+    beyond F; dim(T meet V) = dim T + dim V - dim(T + V).  The image
+    dimension comes independently from reduction of the M translates
+    modulo V; the two routes must satisfy dim_total = intersection + image
+    exactly, which is asserted.
 
     rows is the _SplitRows(M, N) of a run over several windows: the
-    translates are then packed once per run and T grows across nested
-    windows, while V, T + V and the image are still built per window.
-    None starts a fresh one.
+    translates are then packed once per run, and T, V and T + V grow
+    across nested windows.  None starts a fresh one.
     """
     _check_same_ambient(M, N)
     if F.group != M.group:
@@ -228,36 +234,35 @@ def _quotient_split(
     approx = approx or DEFAULT_STABILIZATION
     if rows is None:
         rows = _SplitRows(M, N)
-    ech_T = rows.grow(F.elements)
-    dim_total = ech_T.dim
+    rows.grow(F.elements)
+    dim_total = rows.T.dim
 
     if not N.generators:
         return SesDims(dim_total, 0, dim_total, True, 0, 0, 0)
 
-    # every echelon here is a sibling of rows.root: rows fit any of them
-    ech_T, ech_N = ech_T.copy(), rows.root.sibling()
-    cap = streak = 0
+    # copies leave the running echelons to the next window
+    ech_W, ech_V = rows.W.copy(), rows.V.copy()
+    cap = dim_total + ech_V.dim - ech_W.dim
+    window_dims = (ech_V.dim, cap)  # dim_sub, dim_window_meet
+    streak = steps = 0
     stabilized = False
-    for steps, shell in enumerate(shells(M.group, F.elements)):
+    later = islice(shells(M.group, F.elements), 1, approx.max_steps + 1)
+    for steps, shell in enumerate(later, start=1):
         before = cap
         for x in rows.translates(rows.N, shell):
-            if ech_N.add(x) is not None:  # else x already lies in T + V
-                ech_T.add(x)
-        cap = dim_total + ech_N.dim - ech_T.dim
-        if not steps:
-            window_dims = (ech_N.dim, cap)  # dim_sub, dim_window_meet
+            if ech_V.add(x) is not None:  # else x already lies in T + V
+                ech_W.add(x)
+        cap = dim_total + ech_V.dim - ech_W.dim
         # streak counts consecutive growth steps with no new intersection
-        streak = streak + 1 if steps and cap == before else 0
+        streak = streak + 1 if cap == before else 0
         if streak >= approx.stability_window:
             stabilized = True
             break
-        if steps == approx.max_steps:
-            break
 
     # T + V is no longer needed: free the rows it added, as wide as their pivots
-    image, ech_T = rows.root.sibling(), None
+    image, ech_W = rows.root.sibling(), None
     for x in rows.translates(rows.M, F.elements):
-        image.add(ech_N.reduce(x))
+        image.add(ech_V.reduce(x))
     dim_image = image.dim
     if dim_total != cap + dim_image:
         raise RuntimeError(

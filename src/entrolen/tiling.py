@@ -259,16 +259,17 @@ def greedy_quasi_tile(A: FiniteSubset, tiles, eps) -> QuasiTiling:
 
     group = A.group
     reach = [group.identity, *(h for T in tiles for h in T.elements)]
-    box = hull_box(group, (A.elements, reach), len(A))
+    columns = list(zip(*A.elements))
+    box = hull_box(group, (columns, list(zip(*reach))), len(A))
     if box is None:
         full, count, inside = set(A.elements), len, le
         translates = [map(group.left_translate, A, repeat(T.elements)) for T in tiles]
     else:
-        base = tuple(map(min, zip(*A.elements)))  # ctr*T = (ctr base^-1) base*T
+        base = tuple(map(min, columns))  # ctr*T = (ctr base^-1) base*T
         back = group.inv(base)
         steps = [group.mul(ctr, back) for ctr in A]
-        full, count, inside = box.mask(A.elements), int.bit_count, _inside
-        masks = (box.mask(group.left_translate(base, T.elements)) for T in tiles)
+        full, count, inside = box.mask(columns), int.bit_count, _inside
+        masks = (box.mask(list(zip(*group.left_translate(base, T.elements)))) for T in tiles)
         translates = [map(group.shift, repeat(box), repeat(m), steps) for m in masks]
     order = sorted(range(len(tiles)), key=lambda i: -len(tiles[i]))
     placed = [type(full)() for _ in tiles]  # empty sets or masks

@@ -36,6 +36,11 @@ def set_path(module):
         yield
 
 
+def cols(S):
+    """The columns of a set, as hull_box and BoxBits.mask take it."""
+    return list(zip(*S))
+
+
 def _element(rng, group, r):
     if isinstance(group, ZCrossZ2):
         return (rng.randint(-r, r), rng.randint(0, 1))
@@ -73,8 +78,8 @@ def test_mask_and_members_invert_each_other():
     for group in GROUPS:
         for _ in range(20):
             A = _sparse(rng, group, rng.choice([0.2, 0.5, 0.9]))
-            box = hull_box(group, (A.elements, [group.identity]), len(A) * 100)
-            mask = box.mask(A.elements)
+            box = hull_box(group, (cols(A), cols([group.identity])), len(A) * 100)
+            mask = box.mask(cols(A))
             assert mask.bit_count() == len(A)
             assert box.members(mask) == A.elements
     assert BoxBits((0,), (3,)).members(0) == frozenset()
@@ -88,11 +93,11 @@ def test_shift_is_the_left_translate(group):
     for _ in range(30):
         A = _sparse(rng, group, 0.4)
         G = _small(rng, group, 6)
-        box = hull_box(group, (A.elements, [group.identity, *G]), 100 * len(A))
-        mask = box.mask(A.elements)
+        box = hull_box(group, (cols(A), cols([group.identity, *G])), 100 * len(A))
+        mask = box.mask(cols(A))
         for g in G:
             moved = group.left_translate(g, A.elements)
-            assert group.shift(box, mask, g) == box.mask(moved)
+            assert group.shift(box, mask, g) == box.mask(cols(moved))
             assert box.members(group.shift(box, mask, g)) == moved
 
 
@@ -107,7 +112,7 @@ def test_boundary_calculus_masks_equal_sets(group):
         A = _sparse(rng, group, rng.choice([0.5, 0.7, 0.95]))
         C = _small(rng, group, rng.randint(1, 6), r=1 + case % 2)
         steps = [group.inv(c) for c in C]
-        boxed += hull_box(group, (A.elements, [group.identity, *steps]), len(A)) is not None
+        boxed += hull_box(group, (cols(A), cols([group.identity, *steps])), len(A)) is not None
         got = [f(A, C) for f in (boundary, exterior, interior)]
         with set_path(folner):
             assert got == [f(A, C) for f in (boundary, exterior, interior)]
@@ -140,7 +145,7 @@ def test_greedy_masks_equal_sets(group):
             tiles.append(_small(rng, group, 1))
         eps = rng.choice([Fraction(1, 10), Fraction(1, 5), Fraction(1, 4)])
         reach = [group.identity, *(h for T in tiles for h in T)]
-        boxed += hull_box(group, (A.elements, reach), len(A)) is not None
+        boxed += hull_box(group, (cols(A), cols(reach)), len(A)) is not None
         got = _greedy(A, tiles, eps)
         placed += got[0] != "failed"
         with set_path(tiling):
@@ -161,7 +166,7 @@ def test_far_element_gets_no_box():
     Z2 = FreeAbelian(2)
     A = FiniteSubset(Z2, _box(2, 3))
     far = FiniteSubset(Z2, [(0, 0), (10**8, 0)])
-    assert hull_box(Z2, (A.elements, [(0, 0), (-(10**8), 0)]), len(A)) is None
+    assert hull_box(Z2, (cols(A), cols([(0, 0), (-(10**8), 0)])), len(A)) is None
     with _refuse_masks():
         got = boundary(A, far), exterior(A, far), interior(A, far)
     shifted = {(a - 10**8, b) for a, b in A.elements}
@@ -179,7 +184,7 @@ def test_far_element_gets_no_box():
 def test_heisenberg_stays_on_sets():
     H = Heisenberg()
     A, C = ball(H, 3), ball(H, 1)
-    assert hull_box(H, (A.elements, C.elements), len(A)) is None
+    assert hull_box(H, (cols(A), cols(C)), len(A)) is None
     with _refuse_masks():
         assert boundary(A, C).elements == exterior(A, C).elements - interior(A, C).elements
         assert _greedy(ball(H, 4), [C], Fraction(1, 4))

@@ -709,6 +709,56 @@ def test_out_of_range_counts_exit_2(capsys, args, message):
     assert f"error: {message}" in err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["folner-ratios", "--group", "Z^2", "--nmax", "1", "--cradius", "3000"],
+        ["folner-ratios", "--group", "Z^3", "--nmax", "1", "--cshape", "ball",
+         "--cradius", "200"],
+        ["folner-ratios", "--group", "ZxZ2", "--nmax", "1", "--cradius", "1000000000"],
+        ["folner-ratios", "--group", "ZxZ2", "--nmax", "1", "--cshape", "ball",
+         "--cradius", "300000"],
+        ["tile", "--group", "Z^2", "--target", "5000", "--tiles", "1", "--eps", "1/4"],
+        ["tile", "--group", "Z^2", "--target", "3", "--tiles", "1,600", "--eps", "1/4"],
+        ["tile", "--group", "ZxZ2", "--target", str(10**12), "--tiles", "1", "--eps", "1/4"],
+        ["tile", "--group", "Z^2", "--scheme", "balls", "--target", "800", "--tiles", "1",
+         "--eps", "1/4"],
+    ],
+    ids=["folner-z2-box", "folner-z3-ball", "folner-zxz2-box", "folner-zxz2-ball",
+         "tile-target", "tile-tiles", "tile-zxz2-target", "tile-z2-ball"],
+)
+def test_oversized_windows_exit_2_at_once(capsys, args):
+    """A window over cli.MAX_CELLS cells is counted, not built: exit 2 with
+    one line, in well under a second."""
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *args)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "cells, over the limit of 1000000" in err
+
+
+@pytest.mark.parametrize(
+    "group, scheme",
+    [("Z", "boxes"), ("Z^2", "boxes"), ("Z^3", "boxes"), ("ZxZ2", "boxz2"),
+     ("Z", "balls"), ("Z^2", "balls"), ("Z^3", "balls"), ("ZxZ2", "balls")],
+)
+def test_cell_count_is_the_window_size(monkeypatch, group, scheme):
+    """The closed-form count admits a window of exactly MAX_CELLS cells and
+    refuses it at one cell less."""
+    from entrolen import cli
+    from entrolen.folner import scheme_from_name
+    from entrolen.groups import group_from_name
+
+    windows = scheme_from_name(scheme, group_from_name(group))
+    for n in range(6):
+        cells = len(windows.set_at(n))
+        monkeypatch.setattr(cli, "MAX_CELLS", cells)
+        assert len(cli._set_at(windows, n, "target")) == cells
+        monkeypatch.setattr(cli, "MAX_CELLS", cells - 1)
+        with pytest.raises(cli.CliError, match=f"--target {n} names {cells} cells"):
+            cli._set_at(windows, n, "target")
+
+
 P61 = 2**61 - 1
 
 
@@ -733,13 +783,14 @@ def test_large_fields_are_built_quickly(capsys, args):
 
 
 @pytest.mark.parametrize("argv", [
-    ["folner-ratios", "--group", "Z^2", "--nmax", "1", "--cradius", "3000"],
-    ["tile", "--group", "Z^2", "--target", "5000", "--tiles", "1", "--eps", "1/4"],
+    ["folner-ratios", "--group", "Z^2", "--nmax", "1", "--cradius", "300"],
+    ["tile", "--group", "Z^2", "--target", "400", "--tiles", "1", "--eps", "1/4"],
 ])
 def test_out_of_memory_exits_3_with_one_line(capsys, monkeypatch, argv):
     """An input too large for memory ends in one error line and exit 3, not
     a MemoryError traceback; the window builder raises it here in place of
-    allocating a 36-million-cell box."""
+    allocating a box of a few hundred thousand cells, under cli.MAX_CELLS
+    (a larger box exits 2 before it is built)."""
 
     def out_of_memory(self, n):
         raise MemoryError

@@ -1,4 +1,6 @@
 import random
+from dataclasses import astuple
+from fractions import Fraction
 
 import pytest
 
@@ -9,8 +11,15 @@ from entrolen.crossed_product import (
     parse_element,
     trivial_cocycle,
 )
-from entrolen.exact_linalg import Echelon, PrimeField, QuadraticField, span, Subspace
-from entrolen.folner import Boxes, BoxTimesZ2
+from entrolen.exact_linalg import (
+    Echelon,
+    PrimeField,
+    QuadraticField,
+    RationalField,
+    span,
+    Subspace,
+)
+from entrolen.folner import Boxes, BoxTimesZ2, WordBalls
 from entrolen.groups import (
     ball,
     FiniteSubset,
@@ -21,6 +30,7 @@ from entrolen.groups import (
 )
 from entrolen.shift_modules import (
     _quotient_split,
+    _SplitRows,
     bernoulli,
     cyclic_presentation,
     parse_presentation_text,
@@ -138,15 +148,21 @@ def test_ses_dims_empty_window():
     assert q.stabilized and q.steps == 3
 
 
+def _coefficient(rng, field):
+    if isinstance(field, RationalField):
+        return rng.choice([Fraction(1), Fraction(-1), Fraction(2, 3)])
+    return rng.randrange(1, len(field.elements()))
+
+
 def _random_presentation(rng, cocycle, rank):
     """One to three generators on the radius-1 ball with random nonzero
-    coefficients."""
+    coefficients (over Q: 1, -1 or 2/3)."""
     field, support = cocycle.field, ball(cocycle.group, 1).sorted_elements()
     labels = [(g, j) for g in support for j in range(rank)]
     gens = []
     for _ in range(rng.randint(1, 3)):
-        support = rng.sample(labels, rng.randint(1, 4))
-        gens.append({l: rng.randrange(1, len(field.elements())) for l in support})
+        support = rng.sample(labels, min(rng.randint(1, 4), len(labels)))
+        gens.append({l: _coefficient(rng, field) for l in support})
     return SubshiftPresentation(cocycle, rank, gens)
 
 
@@ -174,6 +190,41 @@ def test_quotient_split_matches_the_dict_kernel(monkeypatch, cocycle, radii):
                 with monkeypatch.context() as m:
                     m.setattr(shift_modules, "rank_echelon", Echelon)
                     assert _quotient_split(M, N, F, approx) == fast
+
+
+@pytest.mark.parametrize(
+    "cocycle, scheme, order",
+    [
+        (trivial_cocycle(GF3, FreeAbelian(2)), Boxes(FreeAbelian(2)), (1, 2, 3, 1, 4)),
+        (CX3, BOXZ2, (1, 2, 4, 6, 3, 1, 4)),
+        (trivial_cocycle(GF3, Heisenberg()), WordBalls(Heisenberg()), (1, 2, 1, 3)),
+        (frobenius_cocycle(QuadraticField(2), Z), BOXES, (1, 3, 6, 3, 1, 4)),
+        (trivial_cocycle(RationalField(), Z), BOXES, (1, 3, 6, 3, 1, 4)),
+    ],
+    ids=["gf3-Z^2-boxes", "gf3-ZxZ2-boxz2", "gf3-Heisenberg-balls",
+         "gf4-Z-frobenius", "q-Z"],
+)
+def test_shared_split_rows_equal_fresh_splits(cocycle, scheme, order):
+    """One _SplitRows carried across the windows F_n, n in order, gives on
+    each window all seven SesDims fields of a split with a fresh one.  The
+    order nests, then restarts (F_3, F_1, F_4: each echelon starts over),
+    under the default budget, max_steps=0 and stability_window=1.  Each
+    window runs twice; the second run grows nothing, so it equals the
+    first only if the window's copies left the running V and T + V as
+    they were."""
+    rng = random.Random(37)
+    budgets = (None, StabilizationConfig(max_steps=0), StabilizationConfig(stability_window=1))
+    for _ in range(2):
+        rank = rng.randint(1, 2)
+        M = _random_presentation(rng, cocycle, rank)
+        N = _random_presentation(rng, cocycle, rank)
+        for approx in budgets:
+            rows = _SplitRows(M, N)
+            for n in order:
+                F = scheme.set_at(n)
+                fresh = astuple(_quotient_split(M, N, F, approx))
+                for _ in range(2):
+                    assert astuple(_quotient_split(M, N, F, approx, rows)) == fresh
 
 
 def test_stabilization_config_validation():
