@@ -12,7 +12,7 @@ outcome carries an explicit stabilized/budget-exhausted flag.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 
 from .crossed_product import (
     _add_term,
@@ -166,14 +166,16 @@ class _SplitRows:
     on and packed at most once per run, and the running echelons of
     T = T_F(M), V = T_F(N) and W = T + V, grown by each window's new
     elements (exact: a rank depends only on the row space); a window not
-    containing the previous one restarts all three."""
+    containing the previous one restarts all three.  image is the last
+    split's (F, E, rows of its image echelon), E = ball(steps) * F."""
 
-    __slots__ = ("M", "N", "root", "T", "V", "W", "prev")
+    __slots__ = ("M", "N", "root", "T", "V", "W", "prev", "image")
 
     def __init__(self, M: SubshiftPresentation, N: SubshiftPresentation):
         self.M, self.N = (M, {}), (N, {})  # presentation, g -> packed rows
         self.root = rank_echelon(M.field)
         self.prev = None  # the first grow starts the echelons
+        self.image = (frozenset(), frozenset(), ())
 
     def translates(self, side, elements):
         """The packed rows of _translates(p, elements) for side = (p, cache)."""
@@ -220,13 +222,16 @@ def _quotient_split(
     V = T_E(N) and T + V start from the running echelons of rows, which
     are already step 0, and take the N translates of the shells of E_m
     beyond F; dim(T meet V) = dim T + dim V - dim(T + V).  The image
-    dimension comes independently from reduction of the M translates
-    modulo V; the two routes must satisfy dim_total = intersection + image
-    exactly, which is asserted.
+    dimension comes independently from normal forms modulo V, in an
+    echelon of (T + V)/V; the two routes must satisfy dim_total =
+    intersection + image exactly, which is asserted.
 
     rows is the _SplitRows(M, N) of a run over several windows: the
     translates are then packed once per run, and T, V and T + V grow
-    across nested windows.  None starts a fresh one.
+    across nested windows.  When the previous split's F and E lie in this
+    one's, its T and V do too, so its image rows and the M translates of
+    the new elements of F span (T + V)/V modulo V, and only those are
+    reduced; else every M translate of F is.  None starts a fresh one.
     """
     _check_same_ambient(M, N)
     if F.group != M.group:
@@ -247,8 +252,10 @@ def _quotient_split(
     streak = steps = 0
     stabilized = False
     later = islice(shells(M.group, F.elements), 1, approx.max_steps + 1)
+    E = set(F.elements)
     for steps, shell in enumerate(later, start=1):
         before = cap
+        E |= shell
         for x in rows.translates(rows.N, shell):
             if ech_V.add(x) is not None:  # else x already lies in T + V
                 ech_W.add(x)
@@ -261,7 +268,10 @@ def _quotient_split(
 
     # T + V is no longer needed: free the rows it added, as wide as their pivots
     image, ech_W = rows.root.sibling(), None
-    for x in rows.translates(rows.M, F.elements):
+    F_prev, E_prev, kept = rows.image
+    if not (F_prev <= F.elements and E_prev <= E):
+        F_prev, kept = frozenset(), ()
+    for x in chain(kept, rows.translates(rows.M, F.elements - F_prev)):
         image.add(ech_V.reduce(x))
     dim_image = image.dim
     if dim_total != cap + dim_image:
@@ -269,6 +279,7 @@ def _quotient_split(
             "internal inconsistency: "
             f"{dim_total} != {cap} + {dim_image}"
         )
+    rows.image = (F.elements, E, tuple(image.rows.values()))
     return SesDims(dim_total, cap, dim_image, stabilized, steps, *window_dims)
 
 

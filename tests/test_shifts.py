@@ -6,6 +6,7 @@ import pytest
 
 from entrolen import shift_modules
 from entrolen.crossed_product import (
+    act,
     CocycleData,
     frobenius_cocycle,
     parse_element,
@@ -19,6 +20,7 @@ from entrolen.exact_linalg import (
     span,
     Subspace,
 )
+from entrolen.entropy import _splits
 from entrolen.folner import Boxes, BoxTimesZ2, WordBalls
 from entrolen.groups import (
     ball,
@@ -200,9 +202,10 @@ def test_quotient_split_matches_the_dict_kernel(monkeypatch, cocycle, radii):
         (trivial_cocycle(GF3, Heisenberg()), WordBalls(Heisenberg()), (1, 2, 1, 3)),
         (frobenius_cocycle(QuadraticField(2), Z), BOXES, (1, 3, 6, 3, 1, 4)),
         (trivial_cocycle(RationalField(), Z), BOXES, (1, 3, 6, 3, 1, 4)),
+        (trivial_cocycle(PrimeField(5), Z), BOXES, (1, 3, 6, 3, 1, 4)),
     ],
     ids=["gf3-Z^2-boxes", "gf3-ZxZ2-boxz2", "gf3-Heisenberg-balls",
-         "gf4-Z-frobenius", "q-Z"],
+         "gf4-Z-frobenius", "q-Z", "gf5-Z"],
 )
 def test_shared_split_rows_equal_fresh_splits(cocycle, scheme, order):
     """One _SplitRows carried across the windows F_n, n in order, gives on
@@ -211,9 +214,18 @@ def test_shared_split_rows_equal_fresh_splits(cocycle, scheme, order):
     under the default budget, max_steps=0 and stability_window=1.  Each
     window runs twice; the second run grows nothing, so it equals the
     first only if the window's copies left the running V and T + V as
-    they were."""
+    they were.
+
+    Then the budget changes between windows of one _SplitRows, so that
+    E = ball(steps) * F and F do not nest together: F_1 under max_steps=3,
+    then F_2 under max_steps=0 (F nests, E shrinks), F_2 and F_3 under
+    the default, F_3 under max_steps=0 (E shrinks), and F_2 under the
+    default (E, about ball(3) * F_2, holds F_3, but F shrinks), then F_4.
+    The image may be carried over only when both nest."""
     rng = random.Random(37)
     budgets = (None, StabilizationConfig(max_steps=0), StabilizationConfig(stability_window=1))
+    three, zero = StabilizationConfig(max_steps=3), StabilizationConfig(max_steps=0)
+    mixed = ((1, three), (2, zero), (2, None), (3, None), (3, zero), (2, None), (4, None))
     for _ in range(2):
         rank = rng.randint(1, 2)
         M = _random_presentation(rng, cocycle, rank)
@@ -225,6 +237,95 @@ def test_shared_split_rows_equal_fresh_splits(cocycle, scheme, order):
                 fresh = astuple(_quotient_split(M, N, F, approx))
                 for _ in range(2):
                     assert astuple(_quotient_split(M, N, F, approx, rows)) == fresh
+        # and free of rank 2 by one generator, whose image grows with F,
+        # moved off e so that the N translates beyond F matter
+        g = cocycle.group.generators()[-1]
+        far = SubshiftPresentation(cocycle, 2, [act(g, N.generators[0], cocycle)])
+        free = (bernoulli(cocycle, 2), far)
+        for M, N in ((M, N), free):
+            rows = _SplitRows(M, N)
+            for n, approx in mixed:
+                F = scheme.set_at(n)
+                fresh = astuple(_quotient_split(M, N, F, approx))
+                assert astuple(_quotient_split(M, N, F, approx, rows)) == fresh, (n, approx)
+
+
+def _gf3_mod(a, b):
+    """a mod b for GF(3)[t] coefficient lists, lowest degree first, with no
+    trailing zeros; a unit of GF(3) is its own inverse."""
+    a = list(a)
+    while len(a) >= len(b):
+        c, shift = a[-1] * b[-1] % 3, len(a) - len(b)
+        for i, bi in enumerate(b):
+            a[shift + i] = (a[shift + i] - c * bi) % 3
+        while a and not a[-1]:
+            a.pop()
+    return a
+
+
+def _gf3_gcd(a, b):
+    while b:
+        a, b = b, _gf3_mod(a, b)
+    return a
+
+
+def _gf3_poly(vec):
+    """A rank-1 vector over GF(3)[Z] as a polynomial times the unit t^-low."""
+    low = min(g for (g,), _ in vec)
+    p = [0] * (max(g for (g,), _ in vec) - low + 1)
+    for ((g,), _), c in vec.items():
+        p[g - low] = c
+    return p
+
+
+def _gcd_oracle_pairs(seed, count=60, reach=10):
+    """count rank-1 pairs M = (m), N = (g_1[, g_2]) over GF(3)[Z] with one to
+    three terms per generator at offsets in [-reach, reach], each with the
+    dimension of the image of T_F(M) in K[Z]/N as a function of |F|.
+
+    K[t^+-1] is a PID, so (M + N)/N = (gcd(g, m))/(g) is K[t]/(h) for
+    g = gcd of N's generators and h = g / gcd(g, m), with m a unit modulo
+    h; the images of t^k m for k in an interval of |F| integers then span
+    min(|F|, deg h) dimensions."""
+    rng = random.Random(seed)
+
+    def generator():
+        offsets = rng.sample(range(-reach, reach + 1), rng.randint(1, 3))
+        return {((k,), 0): rng.randint(1, 2) for k in offsets}
+
+    for _ in range(count):
+        M = SubshiftPresentation(CZ3, 1, [generator()])
+        N = SubshiftPresentation(CZ3, 1, [generator() for _ in range(rng.randint(1, 2))])
+        g = _gf3_poly(N.generators[0])
+        for v in N.generators[1:]:
+            g = _gf3_gcd(g, _gf3_poly(v))
+        deg_h = len(g) - len(_gf3_gcd(g, _gf3_poly(M.generators[0])))
+        yield M, N, lambda size, d=deg_h: min(size, d)
+
+
+def _oracle_windows(seed):
+    """(window, SesDims, oracle image dimension) over F_n = [-n, n], n <= 6."""
+    for M, N, oracle in _gcd_oracle_pairs(seed):
+        for n, size, split in _splits(M, N, BOXES, 6, None):
+            yield (M.generators, N.generators, n), split, oracle(size)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_quotient_image_is_at_least_the_gcd_oracle(seed):
+    """V lies in N, so no window's image is below the exact one."""
+    low = [(w, s.dim_image, want) for w, s, want in _oracle_windows(seed)
+           if s.dim_image < want]
+    assert not low
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+@pytest.mark.parametrize("seed", [0, 1])
+def test_stabilized_quotient_image_equals_the_gcd_oracle(seed):
+    """A window flagged stabilized should carry the exact image dimension;
+    with generators up to 10 steps from e the stopping rule stops early."""
+    wrong = [(w, s.dim_image, want) for w, s, want in _oracle_windows(seed)
+             if s.stabilized and s.dim_image != want]
+    assert not wrong
 
 
 def test_stabilization_config_validation():
