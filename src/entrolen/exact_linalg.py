@@ -7,9 +7,9 @@ element is falsy; the field object supplies the operations, so vectors
 stay lightweight dicts from column labels to nonzero coefficients.  For the
 dimension-only paths, rank_echelon packs them into the bit rows of one
 BitEchelon class over GF(2), GF(3) and GF(4), in the row format that
-_ROW_FORMATS keeps per field.  Both echelons keep one policy in their two
-row formats: add eliminates at the pivot end only, and the rows are
-back-substituted once, before the first normal form after an add.
+_ROW_FORMATS keeps per field.  In both echelons add eliminates at the
+pivot end only; they back-substitute on different policies, each the
+faster one measured on its workloads (see the two classes).
 
 Column labels may be any mutually orderable hashable values.  Subspaces
 expose the reduced row echelon basis, which is unique for a given row
@@ -307,10 +307,13 @@ class Echelon:
     pivot, the row's minimal label.  The pivot labels depend only on the
     row space, never on insertion order.
 
-    BitEchelon's policy on dict rows: add eliminates at the pivot end
-    only, and the first reduce or rref after an add back-substitutes the
-    rows in descending pivot order into the unique reduced row echelon
-    form, in which no row holds another pivot label."""
+    add eliminates at the pivot end only, and the first reduce or rref
+    after an add back-substitutes all rows in descending pivot order into
+    the unique reduced row echelon form, in which no row holds another
+    pivot label.  BitEchelon's policy does not pay here: Q rows fill in
+    with growing fractions, and top-down reduce on unsolved rows, alone
+    or with copy back-substituting, slowed a Z^2/Q addition-check at n=10
+    by about a tenth and by about a half."""
 
     __slots__ = ("field", "rows", "solved")
 
@@ -379,10 +382,14 @@ class BitEchelon:
     that sibling echelons share, or its index in a groups.BoxBits passed as
     that table, and a row's pivot is its highest bit, with coefficient 1.
 
-    Before the first reduce after an add, each row is reduced against the
-    rows with lower pivots, in increasing pivot order, so that no row holds
-    another pivot bit; a normal form then costs one row operation per pivot
-    bit of its input.  The rows stay an echelon, so add works unchanged."""
+    add eliminates at the pivot end only.  copy first back-substitutes the
+    rows incrementally: only the rows whose pivot lies at or above the
+    lowest pivot added since the last copy are reduced, in increasing pivot
+    order, against the rows below them, so that no row holds another pivot
+    bit.  A run that copies a growing echelon once per window thus pays for
+    each back-substitution once, and every copy inherits it.  reduce
+    eliminates top down on the rows as stored, which gives the same unique
+    normal form whether or not they were back-substituted."""
 
     __slots__ = ("field", "bits", "rows", "pivots", "solved",
                  "_row", "_support", "_sub", "_unit")
@@ -393,7 +400,7 @@ class BitEchelon:
         self.bits = {} if bits is None else bits
         self.rows: dict = {}
         self.pivots = 0  # the mask of all pivot bits
-        self.solved = True  # no row holds a pivot bit but its own
+        self.solved = 0  # the pivot mask as of the last back-substitution
 
     dim = Echelon.dim
 
@@ -401,7 +408,10 @@ class BitEchelon:
         return BitEchelon(self.field, self.bits)
 
     def copy(self) -> "BitEchelon":
-        """An independent echelon of the same rows, on the shared table."""
+        """An independent echelon of the same rows, on the shared table.
+        Back-substituting first rewrites the original's rows into the
+        reduced form of the same row space; its pivots and dim stay."""
+        self._solve()
         ech = self.sibling()
         ech.rows, ech.pivots, ech.solved = dict(self.rows), self.pivots, self.solved
         return ech
@@ -423,25 +433,27 @@ class BitEchelon:
                     lo |= 1 << b
         return self._row(lo, hi)
 
-    def _eliminate(self, x, hit: int):
-        """Subtract from x the rows whose pivot bits are set in hit; each
-        row must hold no pivot bit of hit but its own."""
-        rows, sub = self.rows, self._sub
-        while hit:
+    def _eliminate(self, x, mask: int):
+        """Subtract rows from x, top down, until no pivot bit of mask is set."""
+        rows, support, sub = self.rows, self._support, self._sub
+        while hit := support(x) & mask:
             top = hit.bit_length() - 1
             x = sub(x, rows[top], top)
-            hit ^= 1 << top
         return x
+
+    def _solve(self):
+        """A row holds only bits below its pivot, so the rows below the
+        lowest fresh pivot hold no fresh pivot bit and stay as they are."""
+        if fresh := self.pivots ^ self.solved:
+            rows, pivots = self.rows, self.pivots
+            low = (fresh & -fresh).bit_length() - 1
+            for piv in sorted(p for p in rows if p >= low):
+                rows[piv] = self._eliminate(rows[piv], pivots ^ 1 << piv)
+            self.solved = pivots
 
     def reduce(self, x):
         """The full normal form: no pivot bit is left set."""
-        if not self.solved:
-            rows, support, pivots = self.rows, self._support, self.pivots
-            for piv in sorted(rows):
-                row = rows[piv]
-                rows[piv] = self._eliminate(row, support(row) & pivots ^ 1 << piv)
-            self.solved = True
-        return self._eliminate(x, self._support(x) & self.pivots)
+        return self._eliminate(x, self.pivots)
 
     def add(self, x):
         """Echelon.add on a packed row; the pivot returned is a bit."""
@@ -452,7 +464,6 @@ class BitEchelon:
             return None
         rows[top] = self._unit(x, top)
         self.pivots |= 1 << top
-        self.solved = False
         return top
 
 

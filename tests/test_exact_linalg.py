@@ -344,7 +344,7 @@ def test_int_kernels_match_dict_echelon(group, field):
         fast, ref = rank_echelon(field), Echelon(field)
         assert type(fast) is not Echelon
         # normal forms are taken after half of the inserts and again after
-        # the rest, so rows back-substituted once must be redone after add
+        # the rest, on rows as add left them
         done = 0
         for stop in (len(vecs) // 2, len(vecs)):
             for vec in vecs[done:stop]:
@@ -446,34 +446,121 @@ def test_int_row_steps_are_field_arithmetic(field):
 
 @pytest.mark.parametrize("field", FINITE_FIELDS, ids=lambda f: f.name)
 def test_copy_leaves_the_original_unchanged(field):
-    """Adding to, reducing with and back-substituting a copy leave the
-    original's rows, pivots, solved flag and dim as they were; the dict
-    kernel's copy shares the row dicts, so none may be rewritten in place."""
+    """copy() leaves the original's pivots, dim and normal forms as they
+    were.  The bit kernel's copy may back-substitute the original's rows in
+    place; the dict kernel's leaves its rows and solved flag too.  After
+    the copy, adding to, reducing with and back-substituting the copy
+    change nothing in the original; the dict kernel's copy shares the row
+    dicts, so none may be rewritten in place."""
     rng = random.Random(67)
     for _ in range(10):
         vecs = _growth(rng, FreeAbelian(2), field)
         cut = rng.randint(1, len(vecs) - 1)
         ech = rank_echelon(field)
+        same = ech.sibling()  # the same row space, whose normal forms are unique
         for vec in vecs[:cut]:
             ech.add(ech.pack(vec))
+            same.add(same.pack(vec))
+        probes = [ech.pack(vec) for vec in vecs]
+        forms = [same.reduce(x) for x in probes]
         if rng.random() < 0.5:  # copy a back-substituted echelon too
-            ech.reduce(ech.pack(vecs[-1]))
+            ech.reduce(probes[-1])  # the dict kernel back-substitutes here
+            ech.copy()  # and the bit kernel here
 
         def state():
             rows = {piv: dict(row) if isinstance(row, dict) else row
                     for piv, row in ech.rows.items()}
             return rows, getattr(ech, "pivots", None), ech.solved, ech.dim
 
-        before = state()
+        at_copy = state()
         twin = ech.copy()
+        before = state()
         assert type(twin) is type(ech) and twin.rows == ech.rows
         assert getattr(twin, "bits", None) is getattr(ech, "bits", None)
+        if type(ech) is Echelon:
+            assert before == at_copy
+        else:
+            assert (before[1], before[3]) == (at_copy[1], at_copy[3])  # pivots, dim
+            assert [ech.reduce(x) for x in probes] == forms
         for vec in vecs[cut:]:
             twin.add(twin.pack(vec))
-            twin.reduce(twin.pack(vec))  # back-substitutes the copy's rows
+            twin.reduce(twin.pack(vec))  # back-substitutes the dict copy's rows
+            twin.copy()  # and the bit copy's
         twin.add(twin.pack(vecs[0]))
         assert state() == before
         assert twin.dim == span(field, vecs).dim
+        assert [ech.reduce(x) for x in probes] == forms
+
+
+def _by_bit(x) -> dict:
+    """A packed row as a dict keyed by -bit, so that the dict Echelon's
+    pivot, the minimal label, is the bit kernel's, the highest bit; a
+    coefficient is bit 0 of its value on the first plane, bit 1 on the
+    second."""
+    lo, hi = (x, 0) if isinstance(x, int) else x
+    return {-b: (lo >> b & 1) | (hi >> b & 1) << 1
+            for b in range((lo | hi).bit_length()) if (lo | hi) >> b & 1}
+
+
+def _packed(field, vec: dict):
+    """The packed row of a dict keyed by -bit; _by_bit inverts it."""
+    lo = sum(1 << -k for k, c in vec.items() if c & 1)
+    hi = sum(1 << -k for k, c in vec.items() if c & 2)
+    return lo if field == GF2 else (lo, hi)
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, GF4], ids=lambda f: f.name)
+@pytest.mark.parametrize(
+    "group",
+    [FreeAbelian(1), FreeAbelian(2), ZCrossZ2(), Heisenberg()],
+    ids=lambda g: g.name,
+)
+def test_copies_back_substitute_incrementally(group, field):
+    """A running echelon grows in batches and is copied after each one, as
+    a quotient run copies its V once per window.  After each copy, its rows
+    and the copy's are the reduced echelon rows of the row space, which a
+    dict Echelon over the label bits computes from scratch: no row holds
+    another row's pivot bit.  The copy then takes a few rows that stay
+    unsolved, and its normal forms of probes and of their coset shifts are
+    that Echelon's, packed.  Every other batch starts with the lowest bit
+    that a row holds but no row has as its pivot, alone: a label first
+    seen long ago becomes a pivot below the pivots of rows that hold it."""
+    rng = random.Random(79)
+    for _ in range(8):
+        vecs = _growth(rng, group, field)
+        run, ref = rank_echelon(field), Echelon(field)
+        done, cuts = 0, sorted(rng.sample(range(2, len(vecs)), 3)) + [len(vecs)]
+        for i, cut in enumerate(cuts):
+            batch = [run.pack(vec) for vec in vecs[done:cut]]
+            held = 0
+            for row in run.rows.values():
+                held |= _support(row)
+            if i % 2 and (held := held & ~run.pivots):
+                low = (held & -held).bit_length() - 1
+                assert run.add(_packed(field, {-low: 1})) == low
+                assert ref.add({-low: 1}) == -low
+            for x in batch:
+                assert (run.add(x) is None) == (ref.add(_by_bit(x)) is None)
+            done, added = cut, vecs[:cut]
+            twin = run.copy()
+            solved = {-piv: _packed(field, row) for piv, row in ref.rref().items()}
+            assert run.rows == twin.rows == solved
+            for piv, row in run.rows.items():
+                assert _support(row) & run.pivots == 1 << piv
+            twin_ref = ref.copy()
+            for vec in _growth(rng, group, field)[:4]:
+                x = twin.pack(vec)
+                assert (twin.add(x) is None) == (twin_ref.add(_by_bit(x)) is None)
+            probes = _growth(rng, group, field) + [
+                _random_combination(rng, field, rng.sample(added, 2)) for _ in range(5)
+            ]
+            for vec in probes:
+                x = twin.pack(vec)
+                rem = twin.reduce(x)
+                assert rem == _packed(field, twin_ref.reduce(_by_bit(x)))
+                assert _support(rem) & twin.pivots == 0
+                shifted = [(1, vec), (_nonzero(rng, field), rng.choice(added))]
+                assert twin.reduce(twin.pack(_combination(field, shifted))) == rem
 
 
 def test_rank_echelon_picks_the_kernel_by_field():

@@ -250,6 +250,39 @@ def test_shared_split_rows_equal_fresh_splits(cocycle, scheme, order):
                 assert astuple(_quotient_split(M, N, F, approx, rows)) == fresh, (n, approx)
 
 
+@pytest.mark.parametrize(
+    "cocycle, scheme, n_max, far",
+    [
+        (trivial_cocycle(GF3, FreeAbelian(2)), Boxes(FreeAbelian(2)), 15, 0),
+        (CX3, BOXZ2, 20, 0),
+        (trivial_cocycle(GF3, Heisenberg()), WordBalls(Heisenberg()), 4, 0),
+        (frobenius_cocycle(QuadraticField(2), Z), BOXES, 20, 0),
+        (CZ3, BOXES, 20, 6),
+    ],
+    ids=["gf3-Z^2-boxes", "gf3-ZxZ2-boxz2", "gf3-Heisenberg-balls",
+         "gf4-Z-frobenius", "gf3-Z-far"],
+)
+def test_long_runs_match_the_dict_kernel(monkeypatch, cocycle, scheme, n_max, far):
+    """_splits over many nested windows gives every SesDims field of every
+    window alike on the bit kernel, whose running V and T + V are
+    back-substituted a few new rows at a time, once per window's copy, and
+    on the dict kernel.  With far > 0, N's generator also gets a term far
+    steps off e, whose translates meet T only on later windows."""
+    rng = random.Random(43)
+    for _ in range(2):
+        rank = rng.randint(1, 2)
+        M = _random_presentation(rng, cocycle, rank)
+        N = _random_presentation(rng, cocycle, rank)
+        if far:
+            gen = dict(N.generators[0])
+            gen[(far,), 0] = 1
+            N = SubshiftPresentation(cocycle, rank, [gen, *N.generators[1:]])
+        fast = _splits(M, N, scheme, n_max, None)
+        with monkeypatch.context() as m:
+            m.setattr(shift_modules, "rank_echelon", Echelon)
+            assert _splits(M, N, scheme, n_max, None) == fast
+
+
 def _gf3_mod(a, b):
     """a mod b for GF(3)[t] coefficient lists, lowest degree first, with no
     trailing zeros; a unit of GF(3) is its own inverse."""
