@@ -7,8 +7,9 @@ element is falsy; the field object supplies the operations, so vectors
 stay lightweight dicts from column labels to nonzero coefficients.  For the
 dimension-only paths, rank_echelon packs them into the bit rows of one
 BitEchelon class over GF(2), GF(3) and GF(4), in the row format that
-_ROW_FORMATS keeps per field.  In both echelons add eliminates at the
-pivot end only; they back-substitute on different policies, each the
+_ROW_FORMATS keeps per field, and over Q into the primitive integer rows
+of _RANK_ROWS in the dict Echelon.  In both echelons add eliminates at
+the pivot end only; they back-substitute on different policies, each the
 faster one measured on its workloads (see the two classes).
 
 Column labels may be any mutually orderable hashable values.  Subspaces
@@ -293,32 +294,84 @@ def _subtract(field, out: dict, row: dict, piv):
                 del out[lbl]
 
 
-def _reduce(rows: dict, field, vec: dict) -> dict:
+def _unit(field, vec: dict, piv) -> dict:
+    """vec scaled to coefficient 1 at piv."""
+    if (c := vec[piv]) == field.one:
+        return vec
+    inv = field.inv(c)
+    return {l: field.mul(inv, v) for l, v in vec.items()}
+
+
+def _int_subtract(field, out: dict, row: dict, piv):
+    """out = (a/g)*out - (b/g)*row in place, for integer rows with a =
+    row[piv] > 0, b = out[piv] and g = gcd(a, b): fraction-free."""
+    a, b = row[piv], out.pop(piv)
+    g = math.gcd(a, b)
+    if a != g:
+        a //= g
+        for lbl in out:
+            out[lbl] *= a
+    b //= g
+    for lbl, v in row.items():
+        if lbl != piv:
+            if nv := out.get(lbl, 0) - b * v:
+                out[lbl] = nv
+            else:
+                del out[lbl]
+
+
+def _primitive(field, vec: dict, piv) -> dict:
+    """An integer vec over its content, with a positive entry at piv."""
+    g = math.gcd(*vec.values())
+    if vec[piv] < 0:
+        g = -g
+    return vec if g == 1 else {l: v // g for l, v in vec.items()}
+
+
+def _integer_row(vec: dict) -> dict:
+    """A rational vec times the lcm of its denominators, over its content:
+    the primitive integer row of its line, positive at its minimal label."""
+    m = math.lcm(*(v.denominator for v in vec.values()))
+    ints = {l: v.numerator * (m // v.denominator) for l, v in vec.items()}
+    return _primitive(None, ints, min(ints)) if ints else ints
+
+
+def _reduce(rows: dict, field, vec: dict, sub=_subtract) -> dict:
     """The canonical representative of vec modulo solved rows, which hold
     no pivot label but their own: one row step per pivot label of vec."""
     out = dict(vec)
     for piv in [lbl for lbl in vec if lbl in rows]:
-        _subtract(field, out, rows[piv], piv)
+        sub(field, out, rows[piv], piv)
     return out
 
 
+# The dict Echelon's row formats, as the hooks (pack, sub, unit): pack(vec)
+# is a vector's row, sub(field, x, row, piv) clears x at row's pivot in
+# place, and unit(field, x, piv) scales a new row.  Over Q, rank_echelon
+# takes primitive integer rows, eliminated fraction-free (Bareiss, Math.
+# Comp. 22, 1968), so no Fraction is built; field rows have a 1 at the pivot.
+_FIELD_ROWS = (lambda vec: vec, _subtract, _unit)
+_RANK_ROWS = {RationalField(): (_integer_row, _int_subtract, _primitive)}
+
+
 class Echelon:
-    """Mutable echelon: pivot label -> row, with coefficient 1 at the
-    pivot, the row's minimal label.  The pivot labels depend only on the
-    row space, never on insertion order.
+    """Mutable echelon: pivot label -> row, in one of the _FIELD_ROWS or
+    _RANK_ROWS formats, whose pivot is the row's minimal label.  The
+    pivot labels depend only on the row space, never on insertion order;
+    over integer rows a normal form is unique up to a nonzero factor.
 
     add eliminates at the pivot end only, and the first reduce or rref
     after an add back-substitutes all rows in descending pivot order into
     the unique reduced row echelon form, in which no row holds another
-    pivot label.  BitEchelon's policy does not pay here: Q rows fill in
-    with growing fractions, and top-down reduce on unsolved rows, alone
-    or with copy back-substituting, slowed a Z^2/Q addition-check at n=10
-    by about a tenth and by about a half."""
+    pivot label.  BitEchelon's policy does not pay here: top-down reduce on
+    unsolved integer rows about doubled the time of a Z^2/Q addition-check
+    at n=10, where rows fill in."""
 
-    __slots__ = ("field", "rows", "solved")
+    __slots__ = ("field", "rows", "solved", "row_format", "pack", "_sub", "_unit")
 
-    def __init__(self, field, vectors=()):
-        self.field = field
+    def __init__(self, field, vectors=(), row_format=_FIELD_ROWS):
+        self.field, self.row_format = field, row_format
+        self.pack, self._sub, self._unit = row_format
         self.rows: dict = {}
         self.solved = True  # no row holds a pivot label but its own
         for vec in vectors:
@@ -330,44 +383,37 @@ class Echelon:
 
     def _solve(self):
         if not self.solved:
-            rows, field = self.rows, self.field
+            rows, field, sub, unit = self.rows, self.field, self._sub, self._unit
             for piv in sorted(rows, reverse=True):
-                rows[piv] = _reduce(rows, field, rows.pop(piv))
+                rows[piv] = unit(field, _reduce(rows, field, rows.pop(piv), sub), piv)
             self.solved = True
 
     def reduce(self, vec: dict) -> dict:
         self._solve()
-        return _reduce(self.rows, self.field, vec)
+        return _reduce(self.rows, self.field, vec, self._sub)
 
     def add(self, vec: dict):
         """Insert vec's residue; returns the new pivot label, or None if
         vec was already in the span."""
-        rows, field = self.rows, self.field
+        rows, field, sub = self.rows, self.field, self._sub
         rem = dict(vec)
         while rem and (piv := min(rem)) in rows:
-            _subtract(field, rem, rows[piv], piv)
+            sub(field, rem, rows[piv], piv)
         if not rem:
             return None
-        if (c := rem[piv]) != field.one:
-            inv = field.inv(c)
-            rem = {l: field.mul(inv, v) for l, v in rem.items()}
-        rows[piv] = rem
+        rows[piv] = self._unit(field, rem, piv)
         self.solved = False
         return piv
 
     def sibling(self) -> "Echelon":
-        return Echelon(self.field)
+        return Echelon(self.field, row_format=self.row_format)
 
     def copy(self) -> "Echelon":
         """An independent echelon of the same rows; no method rewrites a
         stored row dict in place, so the copy shares them."""
-        ech = Echelon(self.field)
+        ech = self.sibling()
         ech.rows, ech.solved = dict(self.rows), self.solved
         return ech
-
-    @staticmethod
-    def pack(vec: dict) -> dict:
-        return vec
 
     def rref(self) -> dict:
         """Canonical reduced echelon rows (unique per row space)."""
@@ -517,8 +563,11 @@ _ROW_FORMATS = {
 
 def rank_echelon(field):
     """An empty echelon for dimensions and reduce-to-zero verdicts only:
-    the bit kernel over the fields of _ROW_FORMATS, else the dict Echelon."""
-    return BitEchelon(field) if field in _ROW_FORMATS else Echelon(field)
+    the bit kernel over the fields of _ROW_FORMATS, else the dict Echelon,
+    on integer rows over Q."""
+    if field in _ROW_FORMATS:
+        return BitEchelon(field)
+    return Echelon(field, row_format=_RANK_ROWS.get(field, _FIELD_ROWS))
 
 
 class Subspace:

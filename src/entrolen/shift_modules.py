@@ -12,7 +12,7 @@ outcome carries an explicit stabilized/budget-exhausted flag.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, count, islice
 
 from .crossed_product import (
     _add_term,
@@ -167,15 +167,21 @@ class _SplitRows:
     T = T_F(M), V = T_F(N) and W = T + V, grown by each window's new
     elements (exact: a rank depends only on the row space); a window not
     containing the previous one restarts all three.  image is the last
-    split's (F, E, rows of its image echelon), E = ball(steps) * F."""
+    split's (F, E, rows of its image echelon), E = ball(steps) * F.
 
-    __slots__ = ("M", "N", "root", "T", "V", "W", "prev", "image")
+    chain holds W_0, the first window, then the shells S*W_k - W_k for
+    W_{k+1} = S*W_k as grower yields them, each with its packed N rows
+    once a split has read them; it keeps no level W_j as a set.  A window
+    that is no level restarts the chain from itself."""
+
+    __slots__ = ("M", "N", "root", "T", "V", "W", "prev", "image", "chain", "grower")
 
     def __init__(self, M: SubshiftPresentation, N: SubshiftPresentation):
         self.M, self.N = (M, {}), (N, {})  # presentation, g -> packed rows
         self.root = rank_echelon(M.field)
         self.prev = None  # the first grow starts the echelons
         self.image = (frozenset(), frozenset(), ())
+        self.chain = []  # the first window starts the chain
 
     def translates(self, side, elements):
         """The packed rows of _translates(p, elements) for side = (p, cache)."""
@@ -199,6 +205,33 @@ class _SplitRows:
             if V.add(x) is not None:  # else x already lies in W
                 W.add(x)
         self.prev = elements
+
+    def _shell(self, k: int) -> list:
+        chain = self.chain
+        while len(chain) <= k:
+            chain.append([next(self.grower), None])
+        return chain[k]
+
+    def shells(self, elements: frozenset):
+        """Yield (shell, its packed N rows) for the shells that
+        groups.shells(group, elements) yields after the window itself.
+        When the window is a level W_j of the chain, which holds iff the
+        chain's shells 0..j lie in it and their sizes add up to its size,
+        they are the chain's shells j+1, j+2, ..., since S*W_j = W_{j+1}."""
+        j = size = 0
+        while self.chain and (shell := self._shell(j)[0]) and shell <= elements:
+            size += len(shell)
+            if size == len(elements):
+                break
+            j += 1
+        else:
+            self.chain, j = [], 0
+            self.grower = shells(self.M[0].group, elements)
+        for k in count(j + 1):
+            entry = self._shell(k)
+            if entry[1] is None:
+                entry[1] = tuple(self.translates(self.N, entry[0]))
+            yield entry
 
 
 def _quotient_split(
@@ -251,12 +284,12 @@ def _quotient_split(
     window_dims = (ech_V.dim, cap)  # dim_sub, dim_window_meet
     streak = steps = 0
     stabilized = False
-    later = islice(shells(M.group, F.elements), 1, approx.max_steps + 1)
     E = set(F.elements)
-    for steps, shell in enumerate(later, start=1):
+    later = islice(rows.shells(F.elements), approx.max_steps)
+    for steps, (shell, packed) in enumerate(later, start=1):
         before = cap
         E |= shell
-        for x in rows.translates(rows.N, shell):
+        for x in packed:
             if ech_V.add(x) is not None:  # else x already lies in T + V
                 ech_W.add(x)
         cap = dim_total + ech_V.dim - ech_W.dim

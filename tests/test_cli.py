@@ -197,6 +197,35 @@ def test_addition_check_lines(capsys):
     assert "pass=true" in out
 
 
+def test_addition_check_z2_over_q_golden(capsys):
+    """The scaled Z^2/Q addition check, byte for byte: the quotient rows
+    run on primitive integer rows, whose dimensions are those of the
+    Fraction rows that printed this output."""
+    code, out, err = run_cli(
+        capsys,
+        "addition-check",
+        "--group", "Z^2",
+        "--field", "q",
+        "--rank", "1",
+        "--gen", "1*(0,0)|1",
+        "--ngen", "2*(0,0)|1 + 1*(1,0)|1 + -1/2*(0,1)|1",
+        "--nmax", "10",
+    )
+    assert (code, err) == (0, "")
+    assert out == (
+        "e_total=1/1\n"
+        "e_sub=1/1\n"
+        "e_quotient=41/441\n"
+        "discrepancy=-41/441\n"
+        "tolerance=1/20\n"
+        "within_tolerance=false\n"
+        "ses_exact=true\n"
+        "lower_bound_inequality=true\n"
+        "stabilized=true\n"
+        "pass=false\n"
+    )
+
+
 @pytest.mark.parametrize("tol, code", [("-1", 2), ("0", 0)])
 def test_addition_check_rejects_a_negative_tolerance(capsys, tol, code):
     got, out, err = run_cli(

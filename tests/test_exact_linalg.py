@@ -571,6 +571,75 @@ def test_rank_echelon_picks_the_kernel_by_field():
     for field in (GF5, GF9, QQ):
         ech = rank_echelon(field)
         assert type(ech) is Echelon and ech.field == field
+        assert ech.sibling().pack is ech.pack is ech.copy().pack
+    # over GF(p) and GF(p^2) the rows are the vectors; over Q they are the
+    # primitive integer rows, here -20 * vec / 3, positive at the pivot
+    vec = {(0, 0): 3, (1, 0): 4}
+    assert rank_echelon(GF5).pack(vec) is vec
+    ech = rank_echelon(QQ)
+    row = ech.pack({(1, 0): Fraction(9, 10), (0, 0): Fraction(-3, 4)})
+    assert row == {(0, 0): 5, (1, 0): -6}
+    assert all(type(v) is int for v in row.values())
+    assert ech.add(row) == (0, 0) and ech.rows == {(0, 0): row}
+    assert Echelon(QQ).pack(vec) is vec  # span, intersect and Subspace keep Fractions
+
+
+def _rational(rng, digits=20):
+    """A nonzero Fraction with numerator and denominator of up to 20 digits."""
+    return Fraction(rng.choice((-1, 1)) * rng.randrange(1, 10**digits),
+                    rng.randrange(1, 10**digits))
+
+
+def test_integer_rows_match_gauss_jordan_over_q():
+    """rank_echelon(Q) on primitive integer rows against the dense
+    Gauss-Jordan oracle on Fractions, with 20-digit numerators and
+    denominators, every vector a random multiple of another, so that its
+    integer content is not 1, and normal forms and reduced rows asked for
+    between the inserts: dims and reduce-to-zero verdicts agree, a normal
+    form is the oracle's times a nonzero rational, and each reduced row is
+    the oracle's row times its pivot entry, primitive with that entry
+    positive."""
+    rng = random.Random(83)
+    labels = [(i, j) for i in range(6) for j in (0, 1)]
+
+    def vector():
+        c = _rational(rng)
+        return {l: c * _rational(rng, 3) for l in rng.sample(labels, rng.randint(1, 5))}
+
+    def combination(vecs, k):
+        return _combination(QQ, [(_rational(rng), v) for v in rng.sample(vecs, k)])
+
+    def integral(row):
+        return all(type(v) is int for v in row.values()) and math.gcd(*row.values()) == 1
+
+    for _ in range(25):
+        vecs = [vector() for _ in range(rng.randint(3, 9))]
+        vecs += [combination(vecs, 3) for _ in range(rng.randint(1, 4))]
+        rng.shuffle(vecs)
+        ech, added = rank_echelon(QQ), []
+        for vec in vecs:
+            row = ech.pack(vec)
+            assert integral(row) and row.keys() == vec.keys()
+            assert len({Fraction(x) / vec[l] for l, x in row.items()}) == 1
+            inside = not normal_form(QQ, gauss_jordan(QQ, added), vec)
+            assert (ech.add(row) is None) == inside
+            added.append(vec)
+            ref = gauss_jordan(QQ, added)
+            assert set(ech.rows) == set(ref) and ech.dim == len(ref)
+            roll = rng.random()
+            if roll < 1 / 3:
+                rows = ech.rref()
+                assert rows.keys() == ref.keys()
+                for piv, row in rows.items():
+                    assert integral(row) and row[piv] > 0
+                    assert {l: Fraction(x, row[piv]) for l, x in row.items()} == ref[piv]
+            elif roll < 2 / 3:
+                for probe in [vector(), vector(), combination(added, min(2, len(added)))]:
+                    got, want = ech.reduce(ech.pack(probe)), normal_form(QQ, ref, probe)
+                    assert (not got) == (not want)
+                    if want:
+                        factor = Fraction(got[min(want)]) / want[min(want)]
+                        assert factor and {l: factor * v for l, v in want.items()} == got
 
 
 @pytest.mark.parametrize("field", [GF5, GF9, QQ], ids=lambda f: f.name)
