@@ -11,7 +11,7 @@ import sys
 from fractions import Fraction
 from itertools import islice
 
-from entrolen.folner import boundary, default_scheme, nested_sets
+from entrolen.folner import boundary_size, default_scheme, nested_sets
 from entrolen.groups import ball, FreeAbelian, Heisenberg, ZCrossZ2
 
 
@@ -23,7 +23,7 @@ def main():
         print(f"# group={group.name} scheme={scheme.name} C=ball(1)")
         print("n,folner_size,boundary_size,ratio")
         for n, F in islice(nested_sets(scheme, n_max), 1, None):
-            b = len(boundary(F, C))
+            b = boundary_size(F, C)
             r = Fraction(b, len(F))
             print(f"{n},{len(F)},{b},{r.numerator}/{r.denominator}")
         print()

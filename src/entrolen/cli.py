@@ -25,8 +25,15 @@ from .crossed_product import (
     validate_cocycle,
 )
 from .exact_linalg import field_from_name
-from .folner import boundary, default_scheme, nested_sets, scheme_from_name, WordBalls
-from .groups import format_group_element, FreeAbelian, group_from_name, ZCrossZ2
+from .folner import boundary_size, default_scheme, nested_sets, scheme_from_name, WordBalls
+from .groups import (
+    FiniteSubset,
+    format_group_element,
+    FreeAbelian,
+    group_from_name,
+    shells,
+    ZCrossZ2,
+)
 from .entropy import (
     addition_check,
     certified_upper_bound,
@@ -40,13 +47,13 @@ from .shift_modules import (
     StabilizationConfig,
     SubshiftPresentation,
 )
-from .tiling import check_quasi_tiling, greedy_quasi_tile, TilingFailed
+from .tiling import greedy_quasi_tile, TilingFailed
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
-# The most cells of a window named by --cradius, --target or --tiles on Z^d
-# or ZxZ2, counted before it is built: 10^6 cells of Z^2 take about 93 MB.
+# The most cells of a window named by --cradius, --target or --tiles,
+# counted before it is built: 10^6 cells of Z^2 take about 93 MB.
 MAX_CELLS = 10**6
 
 
@@ -425,16 +432,27 @@ def _cmd_zerodiv(run: RunConfig) -> int:
 
 
 def _set_at(scheme, n: int, key: str):
-    """scheme.set_at(n); exit 2 first if it holds over MAX_CELLS cells: a
+    """scheme.set_at(n); exit 2 first if it holds over MAX_CELLS cells.  A
     box, or an L1 ball of Z^d or B_n = [-n, n] x {0} + [1-n, n-1] x {1} of
-    ZxZ2 (other groups are not counted)."""
-    group, boxed, cells = scheme.group, scheme.name != "balls", 0
+    ZxZ2, is counted in closed form; a word ball of the Heisenberg group is
+    grown shell by shell with a running count, so a refusal builds at most
+    one shell past the limit and an admitted ball is built once."""
+    group, boxed = scheme.group, scheme.name != "balls"
     if isinstance(group, ZCrossZ2):
         cells = 4 * n + 2 if boxed else max(4 * n, 1)
     elif isinstance(group, FreeAbelian):
         d = group.dim
         cells = (2 * n + 1) ** d if boxed else sum(
             2**k * comb(d, k) * comb(n, k) for k in range(d + 1))
+    else:
+        layers, cells = [], 0
+        for shell in islice(shells(group, (group.identity,)), n + 1):
+            layers.append(shell)
+            cells += len(shell)
+            if cells > MAX_CELLS:
+                raise CliError(f"--{key} {n} names at least {cells} cells, "
+                               f"over the limit of {MAX_CELLS}")
+        return FiniteSubset._raw(group, frozenset().union(*layers))
     if cells > MAX_CELLS:
         raise CliError(f"--{key} {n} names {cells} cells, over the limit of {MAX_CELLS}")
     return scheme.set_at(n)
@@ -452,9 +470,8 @@ def _cmd_tile(run: RunConfig) -> int:
         cover = exc.cover if exc.cover is not None else Fraction(0)
         _emit([f"construction,fail,{_fmt_fraction(cover)}"], run.get("out"))
         return EXIT_BUDGET
-    report = check_quasi_tiling(target, tiling)
     lines = []
-    for cond in report.conditions:
+    for cond in tiling.report.conditions:
         status = "pass" if cond.passed else "fail"
         lines.append(f"{cond.name},{status},{_fmt_fraction(cond.ratio)}")
     for i, centers in enumerate(tiling.centers, start=1):
@@ -479,7 +496,7 @@ def _cmd_folner(run: RunConfig) -> int:
     C = _set_at(scheme if shape == "box" else WordBalls(group), radius, "cradius")
     lines = ["n,folner_size,boundary_size,ratio"]
     for n, F in islice(nested_sets(scheme, n_max), 1, None):
-        b = len(boundary(F, C))
+        b = boundary_size(F, C)
         lines.append(f"{n},{len(F)},{b},{_fmt_fraction(Fraction(b, len(F)))}")
     _emit(lines, run.get("out"))
     return EXIT_OK

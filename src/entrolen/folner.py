@@ -71,6 +71,15 @@ def boundary(A: FiniteSubset, C: FiniteSubset) -> FiniteSubset:
     return FiniteSubset._raw(A.group, members(union ^ meet))  # meet <= union
 
 
+def boundary_size(A: FiniteSubset, C: FiniteSubset) -> int:
+    """|boundary_C(A)| = |union| - |meet|, as the meet lies in the union:
+    bits are counted on masks and sets are sized, nothing is decoded."""
+    union, meet, _ = _union_and_meet(A, C)
+    if isinstance(union, int):
+        return union.bit_count() - meet.bit_count()
+    return len(union) - len(meet)
+
+
 @dataclass(frozen=True)
 class Boxes:
     """Centered boxes [-n, n]^d in Z^d; boundary counts have closed forms."""
@@ -171,7 +180,7 @@ def scheme_from_name(name: str, group):
 def boundary_ratio(scheme, C: FiniteSubset, n: int) -> Fraction:
     """|boundary_C(F_n)| / |F_n| as an exact reduced fraction."""
     F_n = scheme.set_at(n)
-    return Fraction(len(boundary(F_n, C)), len(F_n))
+    return Fraction(boundary_size(F_n, C), len(F_n))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ and never silent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import reduce
 from itertools import repeat
@@ -35,6 +35,8 @@ class QuasiTiling:
     tiles: tuple
     centers: tuple
     epsilon: Fraction
+    # check_quasi_tiling's report on the target greedy_quasi_tile covered
+    report: TilingReport | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.tiles) != len(self.centers):
@@ -61,8 +63,9 @@ def _match_quotas(families: list, quotas: list) -> list | None:
     eps-disjointness decision is never a false negative.
     """
     owner: dict = {}
+    nxt = [0] * len(families)
     for i, q in enumerate(quotas):
-        if not all(_augment(families, owner, i) for _ in range(q)):
+        if not all(_augment(families, owner, nxt, i) for _ in range(q)):
             return None
     claimed = [set() for _ in families]
     for x, i in owner.items():
@@ -70,28 +73,40 @@ def _match_quotas(families: list, quotas: list) -> list | None:
     return claimed
 
 
-def _augment(families: list, owner: dict, root: int) -> bool:
+def _augment(families: list, owner: dict, nxt: list, root: int) -> bool:
     """Give set root one more element along an augmenting path, searched
     depth first with an explicit stack; frame k holds a set, its unscanned
-    elements and the element it gives up to the set of frame k - 1."""
-    stack = [(root, iter(families[root]), None)]
+    elements and the element it gives up to the set of frame k - 1.
+    nxt[i] indexes set i's first element not known to be owned: owners move
+    but are never deleted, so the pointer only moves forward, and only a set
+    with no free element at it scans its elements for owners to enter."""
+    stack = []
     entered = {root}
-    while stack:
-        i, scan, _ = stack[-1]
-        for x in scan:
-            j = owner.get(x)
-            if j is None:
-                owner[x] = i
-                for (taker, _, _), (_, _, given) in zip(stack, stack[1:]):
-                    owner[given] = taker
-                return True
-            if j not in entered:
-                entered.add(j)
-                stack.append((j, iter(families[j]), x))
-                break
-        else:
-            stack.pop()
-    return False
+    i, given = root, None  # the set entered and the element it gives up
+    while True:
+        F, k = families[i], nxt[i]
+        while k < len(F) and F[k] in owner:
+            k += 1
+        nxt[i] = k
+        if k < len(F):  # i takes F[k]; each set on the path takes what the next gives up
+            owner[F[k]] = i
+            while stack:
+                taker, _, up = stack.pop()
+                owner[given] = taker
+                given = up
+            return True
+        stack.append((i, iter(F), given))
+        i = None
+        while stack and i is None:  # enter the next owner not entered yet
+            for x in stack[-1][1]:
+                if owner[x] not in entered:
+                    i, given = owner[x], x
+                    entered.add(i)
+                    break
+            else:
+                stack.pop()
+        if i is None:
+            return False
 
 
 def check_epsilon_disjoint(family, eps) -> DisjointnessCheck:
@@ -244,7 +259,7 @@ def greedy_quasi_tile(A: FiniteSubset, tiles, eps) -> QuasiTiling:
 
     Raises TilingFailed when the placed regions do not reach a
     (1 - eps)-cover of A; on success the output provably passes
-    check_quasi_tiling, which checks it on sets.
+    check_quasi_tiling, which checks it on sets, and carries its report.
     """
     eps = _tiling_eps(eps)
     tiles = list(tiles)
@@ -299,7 +314,7 @@ def greedy_quasi_tile(A: FiniteSubset, tiles, eps) -> QuasiTiling:
     report = check_quasi_tiling(A, tiling)
     if not report.passed:
         raise TilingFailed(f"greedy output rejected by checker: {report}")
-    return tiling
+    return replace(tiling, report=report)
 
 
 @dataclass(frozen=True)

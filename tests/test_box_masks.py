@@ -12,7 +12,7 @@ from unittest import mock
 import pytest
 
 from entrolen import folner, tiling
-from entrolen.folner import boundary, exterior, interior
+from entrolen.folner import boundary, boundary_size, exterior, interior
 from entrolen.groups import (
     ball,
     BoxBits,
@@ -123,6 +123,29 @@ def test_boundary_calculus_masks_equal_sets(group):
         with set_path(folner):
             expected = boundary(A, C)
         assert boundary(A, C) == expected
+
+
+@pytest.mark.parametrize("group", [*GROUPS, Heisenberg()], ids=lambda g: g.name)
+def test_boundary_size_counts_the_boundary(group):
+    """boundary_size is len(boundary) on masks, on sets, and on a set with
+    one far element, for which hull_box refuses the box."""
+    rng = random.Random(SEED + 5)
+    for case in range(12):
+        if isinstance(group, Heisenberg):
+            A = FiniteSubset(group, rng.sample(sorted(ball(group, 3)), 40 + case))
+            C = FiniteSubset(group, rng.sample(sorted(ball(group, 1)), 1 + case % 5))
+        else:
+            A = _sparse(rng, group, rng.choice([0.5, 0.9]))
+            C = _small(rng, group, rng.randint(1, 5), r=1 + case % 2)
+        assert boundary_size(A, C) == len(boundary(A, C))
+        with set_path(folner):
+            assert boundary_size(A, C) == len(boundary(A, C))
+    far = tuple(10**8 if i == 0 else 0 for i in range(len(group.identity)))
+    A = FiniteSubset(group, [*ball(group, 2), far])
+    C = ball(group, 1)
+    steps = [group.inv(c) for c in C]
+    assert hull_box(group, (cols(A), cols([group.identity, *steps])), len(A)) is None
+    assert boundary_size(A, C) == len(boundary(A, C)) > 0
 
 
 def _greedy(A, tiles, eps):

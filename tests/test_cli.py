@@ -307,6 +307,32 @@ def test_tile_report(capsys):
     assert lines[3] == "1:(-18);(-13);(-8);(-3);(2);(7);(12);(17)"
 
 
+def test_tile_checks_the_tiling_once(capsys, monkeypatch):
+    """tile prints the report of the one check_quasi_tiling run that
+    greedy_quasi_tile makes on its output."""
+    from entrolen import tiling
+
+    calls = []
+    check = tiling.check_quasi_tiling
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(tiling, "check_quasi_tiling", counted)
+    code, out, _ = run_cli(
+        capsys, "tile", "--group", "Z^2", "--target", "6", "--tiles", "1,2", "--eps", "1/10"
+    )
+    assert code == 0 and len(calls) == 1
+    assert out.splitlines() == [
+        "tiles_inside_and_eps_disjoint,pass,23/25",
+        "classes_pairwise_disjoint,pass,0/1",
+        "cover,pass,157/169",
+        "1:(-5,5);(0,0);(4,5);(5,-5)",
+        "2:(-4,-4);(-4,1);(0,4);(1,-4);(4,1)",
+    ]
+
+
 def test_tile_failure_exit_code(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -769,11 +795,13 @@ def test_oversized_windows_exit_2_at_once(capsys, args):
 @pytest.mark.parametrize(
     "group, scheme",
     [("Z", "boxes"), ("Z^2", "boxes"), ("Z^3", "boxes"), ("ZxZ2", "boxz2"),
-     ("Z", "balls"), ("Z^2", "balls"), ("Z^3", "balls"), ("ZxZ2", "balls")],
+     ("Z", "balls"), ("Z^2", "balls"), ("Z^3", "balls"), ("ZxZ2", "balls"),
+     ("Heisenberg", "balls")],
 )
 def test_cell_count_is_the_window_size(monkeypatch, group, scheme):
-    """The closed-form count admits a window of exactly MAX_CELLS cells and
-    refuses it at one cell less."""
+    """The count, in closed form or shell by shell on the Heisenberg group,
+    admits a window of exactly MAX_CELLS cells and refuses it at one cell
+    less."""
     from entrolen import cli
     from entrolen.folner import scheme_from_name
     from entrolen.groups import group_from_name
@@ -784,8 +812,36 @@ def test_cell_count_is_the_window_size(monkeypatch, group, scheme):
         monkeypatch.setattr(cli, "MAX_CELLS", cells)
         assert len(cli._set_at(windows, n, "target")) == cells
         monkeypatch.setattr(cli, "MAX_CELLS", cells - 1)
-        with pytest.raises(cli.CliError, match=f"--target {n} names {cells} cells"):
+        with pytest.raises(cli.CliError, match=f"--target {n} names (at least )?{cells} cells"):
             cli._set_at(windows, n, "target")
+
+
+@pytest.mark.parametrize("args", [
+    ["folner-ratios", "--group", "Heisenberg", "--nmax", "1", "--cradius", "10"],
+    ["tile", "--group", "Heisenberg", "--target", "10", "--tiles", "1", "--eps", "1/4"],
+    ["tile", "--group", "Heisenberg", "--target", "2", "--tiles", "1,10", "--eps", "1/4"],
+], ids=["folner-cradius", "tile-target", "tile-tiles"])
+def test_oversized_heisenberg_balls_exit_2(capsys, monkeypatch, args):
+    """ball(10) holds 4,309 cells; under a limit of 1,000 the growth stops
+    at ball(7), the first ball past it, with one stderr line."""
+    from entrolen import cli
+
+    monkeypatch.setattr(cli, "MAX_CELLS", 1000)
+    code, out, err = run_cli(capsys, *args)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    assert err.endswith("names at least 1069 cells, over the limit of 1000\n")
+
+
+def test_heisenberg_balls_under_the_limit_print_as_before(capsys, monkeypatch):
+    from entrolen import cli
+
+    monkeypatch.setattr(cli, "MAX_CELLS", 1000)
+    code, out, _ = run_cli(
+        capsys, "folner-ratios", "--group", "Heisenberg", "--nmax", "2", "--cradius", "4"
+    )
+    assert code == 0
+    assert out == "n,folner_size,boundary_size,ratio\n1,5,299,299/5\n2,17,593,593/17\n"
 
 
 P61 = 2**61 - 1

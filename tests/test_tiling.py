@@ -101,9 +101,83 @@ def test_match_quotas_decides_halls_condition():
         claimed = _match_quotas(families, quotas)
         assert (claimed is not None) == hall
         if claimed is not None:
-            assert [len(c) for c in claimed] == quotas
-            assert all(c <= set(f) for c, f in zip(claimed, families))
-            assert sum(map(len, claimed)) == len(set().union(*claimed))
+            _claims_fill_quotas(families, quotas, claimed)
+
+
+def _claims_fill_quotas(families, quotas, claimed):
+    assert [len(c) for c in claimed] == quotas
+    assert all(c <= set(f) for c, f in zip(claimed, families))
+    assert sum(map(len, claimed)) == len(set().union(*claimed))
+
+
+def _interval_hall(intervals, quotas):
+    """Hall's condition for interval sets: a violating subfamily can be
+    taken with an interval union [l, r] and all sets inside it, so it
+    suffices that those sets' quotas sum to at most r - l + 1."""
+    points = sorted({a for a, _ in intervals} | {b for _, b in intervals})
+    return all(
+        sum(q for (a, b), q in zip(intervals, quotas) if l <= a and b <= r) <= r - l + 1
+        for l in points
+        for r in points
+        if l <= r
+    )
+
+
+def test_match_quotas_decides_hall_on_interval_families():
+    # staircase-type families: overlapping intervals in shuffled order with
+    # quotas near their sizes, so claims displace other sets' elements
+    rng = random.Random(29)
+    decided = {True: 0, False: 0}
+    for _ in range(300):
+        intervals = []
+        for _ in range(rng.randint(1, 25)):
+            a = rng.randint(0, 40)
+            intervals.append((a, a + rng.randint(0, 4)))
+        quotas = [rng.randint(max(0, b - a - 1), b - a + 1) for a, b in intervals]
+        families = [list(range(a, b + 1)) for a, b in intervals]
+        claimed = _match_quotas(families, quotas)
+        assert (claimed is not None) == _interval_hall(intervals, quotas)
+        decided[claimed is not None] += 1
+        if claimed is not None:
+            _claims_fill_quotas(families, quotas, claimed)
+    assert min(decided.values()) >= 50, decided
+
+
+@pytest.mark.parametrize("free_top", [True, False])
+def test_match_quotas_follows_long_augmenting_paths(free_top):
+    # A_j = {j, j + 1} takes j; the last set {0} then pushes every A_j one
+    # step up, a path through all n sets, which ends on the free element n
+    # only when A_{n-1} holds it; without it n + 1 quotas meet n elements
+    n = 1500
+    families = [[j, j + 1] for j in range(n)] + [[0]]
+    if not free_top:
+        families[n - 1] = [n - 1]
+    quotas = [1] * (n + 1)
+    claimed = _match_quotas(families, quotas)
+    if not free_top:
+        assert claimed is None
+        return
+    _claims_fill_quotas(families, quotas, claimed)
+    assert claimed[n] == {0} and all(c == {j + 1} for j, c in enumerate(claimed[:n]))
+
+
+@pytest.mark.parametrize("k, ok", [(2500, True), (4999, True), (5000, False)])
+def test_eps_disjoint_interval_with_many_singletons(k, ok):
+    # the benchmark's family shape: an m-interval of Z with k singletons
+    # inside it; greedy fails, and the family is 1/2-disjoint exactly when
+    # m - k >= floor(m/2) + 1
+    m = 10_000
+    positions = sorted(random.Random(k).sample(range(m), k))
+    family = [zrange(0, m - 1)] + [zset(p) for p in positions]
+    res = check_epsilon_disjoint(family, Fraction(1, 2))
+    assert res.ok is ok
+    if ok:
+        seen = set()
+        for W, A in zip(res.witnesses, family):
+            assert W.is_subset(A)
+            assert 2 * len(W) > len(A)
+            assert not (W.elements & seen)
+            seen |= W.elements
 
 
 @settings(max_examples=60)
