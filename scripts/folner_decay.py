@@ -9,9 +9,8 @@ Usage: python3 scripts/folner_decay.py [n_max]
 
 import sys
 from fractions import Fraction
-from itertools import islice
 
-from entrolen.folner import boundary_size, default_scheme, nested_sets
+from entrolen.folner import boundary_sizes, default_scheme
 from entrolen.groups import ball, FreeAbelian, Heisenberg, ZCrossZ2
 
 
@@ -22,10 +21,9 @@ def main():
         C = ball(group, 1)
         print(f"# group={group.name} scheme={scheme.name} C=ball(1)")
         print("n,folner_size,boundary_size,ratio")
-        for n, F in islice(nested_sets(scheme, n_max), 1, None):
-            b = boundary_size(F, C)
-            r = Fraction(b, len(F))
-            print(f"{n},{len(F)},{b},{r.numerator}/{r.denominator}")
+        for n, size, b in boundary_sizes(scheme, C, n_max):
+            r = Fraction(b, size)
+            print(f"{n},{size},{b},{r.numerator}/{r.denominator}")
         print()
 
 

@@ -13,6 +13,8 @@ import argparse
 import functools
 import os
 import sys
+from bisect import bisect_right
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import comb
@@ -25,13 +27,12 @@ from .crossed_product import (
     validate_cocycle,
 )
 from .exact_linalg import field_from_name
-from .folner import boundary_size, default_scheme, nested_sets, scheme_from_name, WordBalls
+from .folner import boundary_sizes, default_scheme, scheme_from_name, WordBalls
 from .groups import (
     FiniteSubset,
     format_group_element,
     FreeAbelian,
     group_from_name,
-    shells,
     ZCrossZ2,
 )
 from .entropy import (
@@ -52,8 +53,8 @@ from .tiling import greedy_quasi_tile, TilingFailed
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
-# The most cells of a window named by --cradius, --target or --tiles,
-# counted before it is built: 10^6 cells of Z^2 take about 93 MB.
+# The most cells of a window named by --cradius, --target, --tiles or
+# --nmax, counted before it is built: 10^6 cells of Z^2 take about 93 MB.
 MAX_CELLS = 10**6
 
 
@@ -431,31 +432,69 @@ def _cmd_zerodiv(run: RunConfig) -> int:
     return _budget_status(report.quotient.exhausted)
 
 
-def _set_at(scheme, n: int, key: str):
-    """scheme.set_at(n); exit 2 first if it holds over MAX_CELLS cells.  A
-    box, or an L1 ball of Z^d or B_n = [-n, n] x {0} + [1-n, n-1] x {1} of
-    ZxZ2, is counted in closed form; a word ball of the Heisenberg group is
-    grown shell by shell with a running count, so a refusal builds at most
-    one shell past the limit and an admitted ball is built once."""
+def _cells(scheme, n: int):
+    """|F_n| in closed form for a box, an L1 ball of Z^d or
+    B_n = [-n, n] x {0} + [1-n, n-1] x {1} of ZxZ2; None for a word ball
+    of the Heisenberg group, which has none here."""
     group, boxed = scheme.group, scheme.name != "balls"
     if isinstance(group, ZCrossZ2):
-        cells = 4 * n + 2 if boxed else max(4 * n, 1)
-    elif isinstance(group, FreeAbelian):
+        return 4 * n + 2 if boxed else max(4 * n, 1)
+    if isinstance(group, FreeAbelian):
         d = group.dim
-        cells = (2 * n + 1) ** d if boxed else sum(
+        return (2 * n + 1) ** d if boxed else sum(
             2**k * comb(d, k) * comb(n, k) for k in range(d + 1))
-    else:
-        layers, cells = [], 0
-        for shell in islice(shells(group, (group.identity,)), n + 1):
-            layers.append(shell)
+    return None
+
+
+@dataclass(frozen=True)
+class _Counted:
+    """The scheme whose first n + 1 shells are counted as they grow: at
+    the first shell k whose window F_k holds over MAX_CELLS cells, exit 2
+    with message(k, cells), so a refusal builds at most one shell past the
+    limit and an admitted window is grown once."""
+
+    scheme: object
+    n: int
+    message: object
+
+    @property
+    def group(self):
+        return self.scheme.group
+
+    def shells(self):
+        cells = 0
+        for k, shell in enumerate(islice(self.scheme.shells(), self.n + 1)):
             cells += len(shell)
             if cells > MAX_CELLS:
-                raise CliError(f"--{key} {n} names at least {cells} cells, "
-                               f"over the limit of {MAX_CELLS}")
-        return FiniteSubset._raw(group, frozenset().union(*layers))
+                raise CliError(f"{self.message(k, cells)}, over the limit of {MAX_CELLS}")
+            yield shell
+
+
+def _set_at(scheme, n: int, key: str):
+    """scheme.set_at(n); exit 2 first if it holds over MAX_CELLS cells,
+    counted by _cells, or as _Counted grows a Heisenberg ball."""
+    cells = _cells(scheme, n)
+    if cells is None:
+        counted = _Counted(scheme, n, lambda k, cells: f"--{key} {n} names at least {cells} cells")
+        return FiniteSubset._raw(scheme.group, frozenset().union(*counted.shells()))
     if cells > MAX_CELLS:
         raise CliError(f"--{key} {n} names {cells} cells, over the limit of {MAX_CELLS}")
     return scheme.set_at(n)
+
+
+def _windows(scheme, n_max: int):
+    """scheme, after exit 2 naming the first window F_n, n <= n_max, over
+    MAX_CELLS cells, found by bisection on _cells, or scheme as _Counted
+    where _cells has no count."""
+    def message(k, cells):
+        return f"--nmax {n_max}: window n={k} holds {cells} cells"
+
+    if _cells(scheme, n_max) is None:
+        return _Counted(scheme, n_max, message)
+    k = bisect_right(range(n_max + 1), MAX_CELLS, key=lambda n: _cells(scheme, n))
+    if k <= n_max:
+        raise CliError(f"{message(k, _cells(scheme, k))}, over the limit of {MAX_CELLS}")
+    return scheme
 
 
 def _cmd_tile(run: RunConfig) -> int:
@@ -495,9 +534,8 @@ def _cmd_folner(run: RunConfig) -> int:
         raise CliError("--cshape box needs a box scheme")
     C = _set_at(scheme if shape == "box" else WordBalls(group), radius, "cradius")
     lines = ["n,folner_size,boundary_size,ratio"]
-    for n, F in islice(nested_sets(scheme, n_max), 1, None):
-        b = boundary_size(F, C)
-        lines.append(f"{n},{len(F)},{b},{_fmt_fraction(Fraction(b, len(F)))}")
+    for n, size, b in boundary_sizes(_windows(scheme, n_max), C, n_max):
+        lines.append(f"{n},{size},{b},{_fmt_fraction(Fraction(b, size))}")
     _emit(lines, run.get("out"))
     return EXIT_OK
 

@@ -19,6 +19,7 @@ from .groups import (
     FreeAbelian,
     Heisenberg,
     hull_box,
+    right_box,
     shells,
     ZCrossZ2,
 )
@@ -42,12 +43,17 @@ def _union_and_meet(A: FiniteSubset, C: FiniteSubset):
     else:
         mask = box.mask(columns)
         translates, members = (group.shift(box, mask, g) for g in steps), box.members
+    return (*_fold(translates), members)
+
+
+def _fold(translates):
+    """The union and the meet of an iterator of sets or masks."""
     meet = next(translates)
     union = copy(meet)  # a set is then updated in place
     for translate in translates:
         union |= translate
         meet &= translate
-    return union, meet, members
+    return union, meet
 
 
 def exterior(A: FiniteSubset, C: FiniteSubset) -> FiniteSubset:
@@ -103,6 +109,19 @@ class Boxes:
             frozenset(itertools.product(rng, repeat=self.group.dim)),
         )
 
+    def shells(self):
+        """Yield {e}, then each box(n) - box(n-1): its faces, the points
+        whose largest |coordinate| is n, each put in the face of the first
+        coordinate at which it reaches n."""
+        d = self.group.dim
+        yield frozenset({self.group.identity})
+        for n in itertools.count(1):
+            inner, outer = [range(1 - n, n)], [range(-n, n + 1)]
+            yield frozenset(itertools.chain.from_iterable(
+                itertools.product(*inner * i, (-n, n), *outer * (d - 1 - i))
+                for i in range(d)
+            ))
+
 
 @dataclass(frozen=True)
 class BoxTimesZ2:
@@ -126,6 +145,12 @@ class BoxTimesZ2:
             frozenset((k, t) for k in range(-n, n + 1) for t in (0, 1)),
         )
 
+    def shells(self):
+        """Yield {0} x {0, 1}, then each {-n, n} x {0, 1}."""
+        yield frozenset({(0, 0), (0, 1)})
+        for n in itertools.count(1):
+            yield frozenset({(-n, 0), (-n, 1), (n, 0), (n, 1)})
+
 
 @dataclass(frozen=True)
 class WordBalls:
@@ -140,20 +165,50 @@ class WordBalls:
     def set_at(self, n: int) -> FiniteSubset:
         return ball(self.group, n)
 
+    def shells(self):
+        """Yield {e}, then each sphere ball(n) - ball(n-1)."""
+        return shells(self.group, (self.group.identity,))
+
+
+_SHELLED = (Boxes, BoxTimesZ2, WordBalls)
+
 
 def nested_sets(scheme, n_max: int):
-    """Yield (n, F_n) for n = 0..n_max.  Word balls grow from one shells
-    pass instead of one ball call per n, each regrown from the identity."""
-    if not isinstance(scheme, WordBalls):
+    """Yield (n, F_n) for n = 0..n_max.  A built-in scheme grows F_n from
+    its shells, F_n = F_{n-1} + shell n, in one pass instead of one set_at
+    call per n; another is read with set_at, so nesting stays checkable."""
+    if not isinstance(scheme, _SHELLED):
         for n in range(n_max + 1):
             yield n, scheme.set_at(n)
         return
-    group = scheme.group
-    layers = shells(group, (group.identity,))
     grown = set()
-    for n, shell in zip(range(n_max + 1), layers):
+    for n, shell in zip(range(n_max + 1), scheme.shells()):
         grown |= shell
-        yield n, FiniteSubset._raw(group, frozenset(grown))
+        yield n, FiniteSubset._raw(scheme.group, frozenset(grown))
+
+
+def boundary_sizes(scheme, C: FiniteSubset, n_max: int):
+    """Yield (n, |F_n|, |boundary_C(F_n)|) for n = 1..n_max, from the
+    shells of scheme (any object with group and shells()), in one BoxBits
+    table over the hull of F_{n_max} C^{-1}: each window's mask is the
+    last one's or its shell's, and its boundary is |union| - |meet| of the
+    |C| right translates of that mask, so no window is built as a set.
+    C should be compact, as the table spans its hull."""
+    group = scheme.group
+    C._require_same_group(scheme)
+    if len(C) == 0:
+        raise ValueError("C must be nonempty")
+    layers = [list(zip(*shell)) for shell in itertools.islice(scheme.shells(), n_max + 1)]
+    steps = [group.inv(c) for c in C.sorted_elements()]
+    top = [list(itertools.chain.from_iterable(column)) for column in zip(*layers)]
+    box, shift = right_box(group, top, steps), group.right_shift
+    mask = size = 0
+    for n, columns in enumerate(layers):
+        mask |= box.mask(columns)
+        size += len(columns[0])
+        if n:
+            union, meet = _fold(shift(box, mask, g) for g in steps)
+            yield n, size, union.bit_count() - meet.bit_count()
 
 
 def default_scheme(group):

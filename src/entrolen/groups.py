@@ -46,7 +46,7 @@ class FreeAbelian:
     def mul(self, g, h):
         if len(g) != self.dim or len(h) != self.dim:
             raise ValueError("operands from a different group")
-        return tuple(a + b for a, b in zip(g, h))
+        return tuple(map(add, g, h))
 
     def left_translate(self, g, elements):
         """{g*a : a in elements} as a new set, with g unpacked once and no
@@ -68,6 +68,8 @@ class FreeAbelian:
         """The mask of gA from the mask of A, for A and gA in the box."""
         s = sum(map(mul, g, box.strides))
         return mask << s if s >= 0 else mask >> -s
+
+    right_shift = shift  # the mask of A*g, the same set
 
     def inv(self, g):
         return tuple(-a for a in g)
@@ -125,6 +127,8 @@ class ZCrossZ2:
         x *= box.strides[0]
         return mask << x if x >= 0 else mask >> -x
 
+    right_shift = shift
+
     def inv(self, g):
         return (-g[0], g[1])
 
@@ -170,6 +174,20 @@ class Heisenberg:
         """{a*g : a in elements}, which differs from g*A off the center."""
         x, y, z = g
         return {(a + x, b + y, c + z + a * y) for a, b, c in elements}
+
+    def right_shift(self, box, mask: int, g) -> int:
+        """The mask of A*g from the mask of A, for A and A*g in the box.
+        (a, b, c) moves to (a + x, b + y, c + z + a*y): one offset for each
+        a, so with a outermost in the box order each a-slab of the mask is
+        extracted and shifted once."""
+        x, y, z = g
+        slab, row, _ = box.strides
+        ones, moved = (1 << slab) - 1, 0
+        for i, a in enumerate(range(box.lo[0], box.hi[0] + 1)):
+            if piece := mask >> i * slab & ones:
+                s = (i + x) * slab + y * row + z + a * y
+                moved |= piece << s if s >= 0 else piece >> -s
+        return moved
 
     def inv(self, g):
         a, b, c = g
@@ -326,7 +344,7 @@ def shells(group, start):
     W_{k+1} = S*W_k, for the generating set S (which contains e); only the
     last shell is multiplied, as S*W_k - W_k = S*(W_k - W_{k-1}) - W_k.
     The first r + 1 shells of (e,) make up ball(r), those of F ball(r)*F."""
-    gens = group.generators()
+    gens = [s for s in group.generators() if s != group.identity]  # e*W_k lies in W_k
     left = group.left_translate
     seen = set(start)
     shell = frozenset(seen)
@@ -405,12 +423,31 @@ def hull_box(group, sets, cells: int, rank: int = 1):
     cells, as one element far from the others makes it."""
     if not isinstance(group, (FreeAbelian, ZCrossZ2)) or not all(sets):
         return None
-    free = 1 if isinstance(group, ZCrossZ2) else group.dim
+    lo, hi = _hull(group, sets)
+    if prod(b - a + 1 for a, b in zip(lo, hi)) > 4 * cells:
+        return None
+    return BoxBits(lo, hi, rank)
+
+
+def _hull(group, sets):
+    """(lo, hi) of hull(S_1) + hull(S_2) + ..., the Z2 bit of ZxZ2 on [0, 1]."""
+    free = 1 if isinstance(group, ZCrossZ2) else len(group.identity)
     lo = hi = (0,) * free
     for columns in (S[:free] for S in sets):
         lo, hi = tuple(map(add, lo, map(min, columns))), tuple(map(add, hi, map(max, columns)))
     torsion = len(group.identity) - free
-    lo, hi = lo + (0,) * torsion, hi + (1,) * torsion
-    if prod(b - a + 1 for a, b in zip(lo, hi)) > 4 * cells:
-        return None
-    return BoxBits(lo, hi, rank)
+    return lo + (0,) * torsion, hi + (1,) * torsion
+
+
+def right_box(group, columns, steps) -> BoxBits:
+    """The BoxBits over the coordinate hull of the right translates A*g,
+    g in steps or e, of the nonempty set A of these columns: the box in
+    which group.right_shift moves A's mask.  Unlike hull_box it refuses
+    no size, so A and steps should be compact.  On the Heisenberg group
+    c also moves by a*y, linear in a, so each step (x, y, z) counts as
+    (x, y, z + a*y) at both ends a of A's hull."""
+    steps = [group.identity, *steps]
+    if isinstance(group, Heisenberg):
+        ends = min(columns[0]), max(columns[0])
+        steps = [(x, y, z + a * y) for x, y, z in steps for a in ends]
+    return BoxBits(*_hull(group, (columns, list(zip(*steps)))))

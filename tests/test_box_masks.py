@@ -1,7 +1,9 @@
 """The box bit masks behind Folner boundaries and greedy tiling on Z^d and
 ZxZ2 against the set path they replace, which stays the reference: it is
 what boundary, exterior, interior and greedy_quasi_tile run when
-groups.hull_box refuses a box, as it does here when patched to."""
+groups.hull_box refuses a box, as it does here when patched to.  The
+run-wide masks of folner.boundary_sizes, the Heisenberg group's included,
+are checked against the same reference."""
 
 import os
 import random
@@ -12,7 +14,16 @@ from unittest import mock
 import pytest
 
 from entrolen import folner, tiling
-from entrolen.folner import boundary, boundary_size, exterior, interior
+from entrolen.folner import (
+    boundary,
+    boundary_size,
+    boundary_sizes,
+    Boxes,
+    BoxTimesZ2,
+    exterior,
+    interior,
+    WordBalls,
+)
 from entrolen.groups import (
     ball,
     BoxBits,
@@ -20,6 +31,7 @@ from entrolen.groups import (
     FreeAbelian,
     Heisenberg,
     hull_box,
+    right_box,
     ZCrossZ2,
 )
 from entrolen.tiling import greedy_quasi_tile, TilingFailed
@@ -211,3 +223,69 @@ def test_heisenberg_stays_on_sets():
     with _refuse_masks():
         assert boundary(A, C).elements == exterior(A, C).elements - interior(A, C).elements
         assert _greedy(ball(H, 4), [C], Fraction(1, 4))
+
+
+def _heisenberg_set(rng):
+    """A random set in [-5, 5]^2 x [-8, 8] with holes: no ball, and with
+    negative coordinates on every axis."""
+    cells = [(a, b, c) for a in range(-5, 6) for b in range(-5, 6) for c in range(-8, 9)]
+    return FiniteSubset(Heisenberg(), [h for h in cells if rng.random() < 0.3])
+
+
+@pytest.mark.parametrize("group", [*GROUPS, Heisenberg()], ids=lambda g: g.name)
+def test_right_shift_is_the_right_translate(group):
+    """group.right_shift(box, mask(A), g) is mask(Ag) in the box that
+    right_box grants A and the steps; on the Heisenberg group the steps
+    have |y| <= 3 and z != 0, so c moves by z + a*y."""
+    rng = random.Random(SEED + 6)
+    for _ in range(10):
+        if isinstance(group, Heisenberg):
+            A = _heisenberg_set(rng)
+            steps = [(rng.randint(-3, 3), rng.randint(-3, 3), rng.choice([-4, -1, 2, 5]))
+                     for _ in range(6)]
+        else:
+            A, steps = _sparse(rng, group, 0.4), sorted(_small(rng, group, 6))
+        box = right_box(group, cols(A), steps)
+        mask = box.mask(cols(A))
+        for g in steps:
+            moved = group.right_translate(g, A.elements)
+            for h in moved:  # BoxBits.get raises outside the box
+                box.get((h, 0))
+            assert group.right_shift(box, mask, g) == box.mask(cols(moved))
+            assert box.members(group.right_shift(box, mask, g)) == moved
+
+
+def _coordinate_box(group, r):
+    """The coordinate box of radius r, the torsion bit of ZxZ2 free."""
+    if isinstance(group, ZCrossZ2):
+        return FiniteSubset(group, [(n, t) for n in range(-r, r + 1) for t in (0, 1)])
+    return FiniteSubset(group, _box(len(group.identity), r))
+
+
+SCHEMES = [
+    *(scheme(group) for group in GROUPS
+      for scheme in (Boxes if isinstance(group, FreeAbelian) else BoxTimesZ2, WordBalls)),
+    WordBalls(Heisenberg()),
+]
+N_MAX = {"Z": 12, "Z^2": 6, "Z^3": 3, "ZxZ2": 8, "Heisenberg": 4}
+
+
+@pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: f"{s.group.name}-{s.name}")
+@pytest.mark.parametrize("shape", ["ball", "box"])
+@pytest.mark.parametrize("r", [0, 1, 2, 4])
+def test_boundary_sizes_equal_per_window_boundaries(scheme, shape, r):
+    """The masks of one run-wide table give each window's size and
+    boundary as boundary_size does on that window, and as the set path's
+    boundary does; the Heisenberg box C has steps with z != 0."""
+    group = scheme.group
+    C = ball(group, r) if shape == "ball" else _coordinate_box(group, r)
+    n_max = N_MAX[group.name]
+    got = list(boundary_sizes(scheme, C, n_max))
+    expected = []
+    for n in range(1, n_max + 1):
+        F = scheme.set_at(n)
+        with set_path(folner):
+            on_sets = len(boundary(F, C))
+        assert boundary_size(F, C) == on_sets
+        expected.append((n, len(F), on_sets))
+    assert got == expected

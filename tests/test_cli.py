@@ -1,5 +1,7 @@
 import os
 import time
+from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -811,9 +813,12 @@ def test_cell_count_is_the_window_size(monkeypatch, group, scheme):
         cells = len(windows.set_at(n))
         monkeypatch.setattr(cli, "MAX_CELLS", cells)
         assert len(cli._set_at(windows, n, "target")) == cells
+        assert sum(map(len, islice(cli._windows(windows, n).shells(), n + 1))) == cells
         monkeypatch.setattr(cli, "MAX_CELLS", cells - 1)
         with pytest.raises(cli.CliError, match=f"--target {n} names (at least )?{cells} cells"):
             cli._set_at(windows, n, "target")
+        with pytest.raises(cli.CliError, match=f"--nmax {n}: window n={n} holds {cells} cells"):
+            list(islice(cli._windows(windows, n).shells(), n + 1))
 
 
 @pytest.mark.parametrize("args", [
@@ -842,6 +847,98 @@ def test_heisenberg_balls_under_the_limit_print_as_before(capsys, monkeypatch):
     )
     assert code == 0
     assert out == "n,folner_size,boundary_size,ratio\n1,5,299,299/5\n2,17,593,593/17\n"
+
+
+FOLNER_GOLDEN = {
+    "Heisenberg": (9, """n,folner_size,boundary_size,ratio
+1,5,16,16/5
+2,17,48,48/17
+3,53,118,118/53
+4,135,244,244/135
+5,299,458,458/299
+6,593,768,768/593
+7,1069,1200,1200/1069
+8,1793,1772,1772/1793
+9,2845,2516,2516/2845
+"""),
+    "Z^3": (7, """n,folner_size,boundary_size,ratio
+1,27,124,124/27
+2,125,316,316/125
+3,343,604,604/343
+4,729,988,988/729
+5,1331,1468,1468/1331
+6,2197,2044,2044/2197
+7,3375,2716,2716/3375
+"""),
+}
+
+
+@pytest.mark.parametrize("group", sorted(FOLNER_GOLDEN))
+def test_folner_ratios_golden(capsys, group):
+    """The CSV byte for byte as the per-window set and mask path printed it."""
+    n_max, expected = FOLNER_GOLDEN[group]
+    code, out, err = run_cli(capsys, "folner-ratios", "--group", group, "--nmax", str(n_max))
+    assert (code, out, err) == (0, expected, "")
+
+
+def _counted_shells(monkeypatch):
+    """Record the shells each groups.shells pass yields to the schemes."""
+    from entrolen import folner
+
+    passes, grow = [], folner.shells
+
+    def shells(group, start):
+        passes.append([])
+        for shell in grow(group, start):
+            passes[-1].append(len(shell))
+            yield shell
+
+    monkeypatch.setattr(folner, "shells", shells)
+    return passes
+
+
+@pytest.mark.parametrize("group, n_max, message", [
+    ("Z^2", 30, "--nmax 30: window n=16 holds 1089 cells"),
+    ("Heisenberg", 8, "--nmax 8: window n=7 holds 1069 cells"),
+])
+def test_folner_windows_over_the_limit_exit_2(capsys, monkeypatch, group, n_max, message):
+    """Under a limit of 1,000 cells, F_30 = box(30) of Z^2 (3,721 cells)
+    is refused in closed form, and the Heisenberg balls are counted as
+    they grow: the refusal names the first window past the limit, ball(7),
+    and no shell past it is grown."""
+    from entrolen import cli
+
+    monkeypatch.setattr(cli, "MAX_CELLS", 1000)
+    passes = _counted_shells(monkeypatch)
+    code, out, err = run_cli(capsys, "folner-ratios", "--group", group, "--nmax", str(n_max))
+    assert code == 2 and out == ""
+    assert err == f"error: {message}, over the limit of 1000\n"
+    if group == "Heisenberg":  # C = ball(1), then the windows up to shell 7
+        assert passes == [[1, 4], [1, 4, 12, 36, 82, 164, 294, 476]]
+
+
+@pytest.mark.parametrize("group, n_max", [("Z^2", 15), ("Heisenberg", 6)])
+def test_folner_windows_under_the_limit_print_as_before(capsys, monkeypatch, group, n_max):
+    """F_15 of Z^2 (961 cells) and ball(6) (593 cells) pass a limit of
+    1,000 cells and print the lines printed without the count; each
+    Heisenberg shell is grown once."""
+    from entrolen import cli
+
+    monkeypatch.setattr(cli, "MAX_CELLS", 1000)
+    passes = _counted_shells(monkeypatch)
+    code, out, err = run_cli(capsys, "folner-ratios", "--group", group, "--nmax", str(n_max))
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    if group == "Z^2":
+        assert lines[1:] == [
+            f"{n},{size},{16 * n + 8},{r.numerator}/{r.denominator}"
+            for n in range(1, n_max + 1)
+            for size in [(2 * n + 1) ** 2]
+            for r in [Fraction(16 * n + 8, size)]
+        ]
+    else:
+        assert out.splitlines() == FOLNER_GOLDEN["Heisenberg"][1].splitlines()[:n_max + 1]
+        assert passes == [[1, 4], [1, 4, 12, 36, 82, 164, 294]]
 
 
 P61 = 2**61 - 1

@@ -157,6 +157,25 @@ def test_word_balls_grow_by_one_shells_pass(group, monkeypatch):
     assert verify_exhaustion(WordBalls(group), 9).ok
 
 
+BUILT_IN = [
+    *(Boxes(FreeAbelian(d)) for d in (1, 2, 3, 4)),
+    BoxTimesZ2(ZCrossZ2()),
+    *(WordBalls(g) for g in (Z, Z2, FreeAbelian(3), ZCrossZ2(), Heisenberg())),
+]
+
+
+@pytest.mark.parametrize("scheme", BUILT_IN, ids=lambda s: f"{s.group.name}-{s.name}")
+def test_nested_sets_grow_every_built_in_scheme_from_shells(scheme, monkeypatch):
+    """F_n grown shell by shell is set_at(n), with no set_at call."""
+    expected = [scheme.set_at(n) for n in range(7)]
+
+    def no_set_at(self, n):
+        raise AssertionError("a window was built by set_at")
+
+    monkeypatch.setattr(type(scheme), "set_at", no_set_at)
+    assert [F for _, F in nested_sets(scheme, 6)] == expected
+
+
 class _BrokenScheme:
     group = Z
 

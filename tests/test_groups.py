@@ -98,7 +98,7 @@ def _bfs_ball(group, r):
     return cur
 
 
-@pytest.mark.parametrize("group", ALL_GROUPS, ids=lambda g: g.name)
+@pytest.mark.parametrize("group", [*ALL_GROUPS, FreeAbelian(3)], ids=lambda g: g.name)
 def test_shells_partition_balls_and_grown_windows(group):
     """The first r + 1 shells of start are disjoint and make up
     ball(r) * start, for start = (e,) and for a two-point window."""
