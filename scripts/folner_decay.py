@@ -21,7 +21,7 @@ def main():
         C = ball(group, 1)
         print(f"# group={group.name} scheme={scheme.name} C=ball(1)")
         print("n,folner_size,boundary_size,ratio")
-        for n, size, b in boundary_sizes(scheme, C, n_max):
+        for n, size, b in boundary_sizes(group, scheme.shells(), C, n_max):
             r = Fraction(b, size)
             print(f"{n},{size},{b},{r.numerator}/{r.denominator}")
         print()

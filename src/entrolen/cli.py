@@ -14,7 +14,6 @@ import functools
 import os
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import comb
@@ -446,55 +445,45 @@ def _cells(scheme, n: int):
     return None
 
 
-@dataclass(frozen=True)
-class _Counted:
-    """The scheme whose first n + 1 shells are counted as they grow: at
-    the first shell k whose window F_k holds over MAX_CELLS cells, exit 2
-    with message(k, cells), so a refusal builds at most one shell past the
+def _counted(shells, n: int, message):
+    """The first n + 1 of shells, counted as they pass: at the first shell
+    k whose window F_k holds over MAX_CELLS cells, exit 2 with
+    message(k, cells), so a refusal builds at most one shell past the
     limit and an admitted window is grown once."""
-
-    scheme: object
-    n: int
-    message: object
-
-    @property
-    def group(self):
-        return self.scheme.group
-
-    def shells(self):
-        cells = 0
-        for k, shell in enumerate(islice(self.scheme.shells(), self.n + 1)):
-            cells += len(shell)
-            if cells > MAX_CELLS:
-                raise CliError(f"{self.message(k, cells)}, over the limit of {MAX_CELLS}")
-            yield shell
+    cells = 0
+    for k, shell in enumerate(islice(shells, n + 1)):
+        cells += len(shell)
+        if cells > MAX_CELLS:
+            raise CliError(f"{message(k, cells)}, over the limit of {MAX_CELLS}")
+        yield shell
 
 
 def _set_at(scheme, n: int, key: str):
     """scheme.set_at(n); exit 2 first if it holds over MAX_CELLS cells,
-    counted by _cells, or as _Counted grows a Heisenberg ball."""
+    counted by _cells, or by _counted as a Heisenberg ball grows."""
     cells = _cells(scheme, n)
     if cells is None:
-        counted = _Counted(scheme, n, lambda k, cells: f"--{key} {n} names at least {cells} cells")
-        return FiniteSubset._raw(scheme.group, frozenset().union(*counted.shells()))
+        counted = _counted(scheme.shells(), n,
+                           lambda k, cells: f"--{key} {n} names at least {cells} cells")
+        return FiniteSubset._raw(scheme.group, frozenset().union(*counted))
     if cells > MAX_CELLS:
         raise CliError(f"--{key} {n} names {cells} cells, over the limit of {MAX_CELLS}")
     return scheme.set_at(n)
 
 
 def _windows(scheme, n_max: int):
-    """scheme, after exit 2 naming the first window F_n, n <= n_max, over
-    MAX_CELLS cells, found by bisection on _cells, or scheme as _Counted
-    where _cells has no count."""
+    """The shells of scheme, after exit 2 naming the first window F_n,
+    n <= n_max, over MAX_CELLS cells, found by bisection on _cells, or
+    counted by _counted where _cells has no count."""
     def message(k, cells):
         return f"--nmax {n_max}: window n={k} holds {cells} cells"
 
     if _cells(scheme, n_max) is None:
-        return _Counted(scheme, n_max, message)
+        return _counted(scheme.shells(), n_max, message)
     k = bisect_right(range(n_max + 1), MAX_CELLS, key=lambda n: _cells(scheme, n))
     if k <= n_max:
         raise CliError(f"{message(k, _cells(scheme, k))}, over the limit of {MAX_CELLS}")
-    return scheme
+    return scheme.shells()
 
 
 def _cmd_tile(run: RunConfig) -> int:
@@ -534,7 +523,7 @@ def _cmd_folner(run: RunConfig) -> int:
         raise CliError("--cshape box needs a box scheme")
     C = _set_at(scheme if shape == "box" else WordBalls(group), radius, "cradius")
     lines = ["n,folner_size,boundary_size,ratio"]
-    for n, size, b in boundary_sizes(_windows(scheme, n_max), C, n_max):
+    for n, size, b in boundary_sizes(group, _windows(scheme, n_max), C, n_max):
         lines.append(f"{n},{size},{b},{_fmt_fraction(Fraction(b, size))}")
     _emit(lines, run.get("out"))
     return EXIT_OK

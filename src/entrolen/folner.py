@@ -187,27 +187,43 @@ def nested_sets(scheme, n_max: int):
         yield n, FiniteSubset._raw(scheme.group, frozenset(grown))
 
 
-def boundary_sizes(scheme, C: FiniteSubset, n_max: int):
-    """Yield (n, |F_n|, |boundary_C(F_n)|) for n = 1..n_max, from the
-    shells of scheme (any object with group and shells()), in one BoxBits
-    table over the hull of F_{n_max} C^{-1}: each window's mask is the
-    last one's or its shell's, and its boundary is |union| - |meet| of the
-    |C| right translates of that mask, so no window is built as a set.
-    C should be compact, as the table spans its hull."""
-    group = scheme.group
-    C._require_same_group(scheme)
+# The most cells of the run-wide table of boundary_sizes per cell of
+# F_{n_max}: Heisenberg balls fill about 1/5 of their hull, and with
+# C = ball(1) the table holds 8 to 21 cells a cell for n_max <= 12.  L1
+# balls of Z^d at large d, or a C far wider than the windows, would make
+# the table huge, and stay on sets.
+SPREAD = 32
+
+
+def boundary_sizes(group, shells, C: FiniteSubset, n_max: int):
+    """Yield (n, |F_n|, |boundary_C(F_n)|) for n = 1..n_max, F_n the union
+    of the first n + 1 of shells, in one BoxBits table over the hull of
+    F_{n_max} C^{-1}: each window's mask is the last one's or its shell's,
+    and its boundary is |union| - |meet| of the |C| right translates of
+    that mask, so no window is built as a set.  Where that table holds
+    over SPREAD |F_{n_max}| cells, each window is built and measured by
+    boundary_size instead."""
+    if C.group != group:
+        raise ValueError(f"mixed groups: {C.group.name} vs {group.name}")
     if len(C) == 0:
         raise ValueError("C must be nonempty")
-    layers = [list(zip(*shell)) for shell in itertools.islice(scheme.shells(), n_max + 1)]
+    layers = list(itertools.islice(shells, n_max + 1))
     steps = [group.inv(c) for c in C.sorted_elements()]
-    top = [list(itertools.chain.from_iterable(column)) for column in zip(*layers)]
-    box, shift = right_box(group, top, steps), group.right_shift
+    top = list(zip(*itertools.chain.from_iterable(layers)))
+    box = right_box(group, top, steps)
+    if box.size > SPREAD * len(top[0]):
+        grown = set()
+        for n, shell in enumerate(layers):
+            grown |= shell
+            if n:
+                yield n, len(grown), boundary_size(FiniteSubset._raw(group, frozenset(grown)), C)
+        return
     mask = size = 0
-    for n, columns in enumerate(layers):
-        mask |= box.mask(columns)
-        size += len(columns[0])
+    for n, shell in enumerate(layers):
+        mask |= box.mask(list(zip(*shell)))
+        size += len(shell)
         if n:
-            union, meet = _fold(shift(box, mask, g) for g in steps)
+            union, meet = _fold(group.right_shift(box, mask, g) for g in steps)
             yield n, size, union.bit_count() - meet.bit_count()
 
 

@@ -443,7 +443,7 @@ def right_box(group, columns, steps) -> BoxBits:
     """The BoxBits over the coordinate hull of the right translates A*g,
     g in steps or e, of the nonempty set A of these columns: the box in
     which group.right_shift moves A's mask.  Unlike hull_box it refuses
-    no size, so A and steps should be compact.  On the Heisenberg group
+    no size: the caller weighs box.size first.  On the Heisenberg group
     c also moves by a*y, linear in a, so each step (x, y, z) counts as
     (x, y, z + a*y) at both ends a of A's hull."""
     steps = [group.identity, *steps]

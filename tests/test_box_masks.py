@@ -273,14 +273,15 @@ N_MAX = {"Z": 12, "Z^2": 6, "Z^3": 3, "ZxZ2": 8, "Heisenberg": 4}
 @pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: f"{s.group.name}-{s.name}")
 @pytest.mark.parametrize("shape", ["ball", "box"])
 @pytest.mark.parametrize("r", [0, 1, 2, 4])
-def test_boundary_sizes_equal_per_window_boundaries(scheme, shape, r):
+def test_boundary_sizes_equal_per_window_boundaries(monkeypatch, scheme, shape, r):
     """The masks of one run-wide table give each window's size and
     boundary as boundary_size does on that window, and as the set path's
-    boundary does; the Heisenberg box C has steps with z != 0."""
+    boundary does; the Heisenberg box C has steps with z != 0.  Both
+    paths run whatever the table's size: on masks with SPREAD patched
+    high, on per-window sets with SPREAD patched to 0."""
     group = scheme.group
     C = ball(group, r) if shape == "ball" else _coordinate_box(group, r)
     n_max = N_MAX[group.name]
-    got = list(boundary_sizes(scheme, C, n_max))
     expected = []
     for n in range(1, n_max + 1):
         F = scheme.set_at(n)
@@ -288,4 +289,23 @@ def test_boundary_sizes_equal_per_window_boundaries(scheme, shape, r):
             on_sets = len(boundary(F, C))
         assert boundary_size(F, C) == on_sets
         expected.append((n, len(F), on_sets))
-    assert got == expected
+    for spread in (folner.SPREAD, 10**9, 0):
+        monkeypatch.setattr(folner, "SPREAD", spread)
+        assert list(boundary_sizes(group, scheme.shells(), C, n_max)) == expected
+
+
+@pytest.mark.parametrize("group, C, n_max", [
+    (FreeAbelian(12), ball(FreeAbelian(12), 1), 2),
+    (FreeAbelian(2), ball(FreeAbelian(2), 20), 1),
+    (Heisenberg(), ball(Heisenberg(), 4), 4),
+], ids=["Z^12-balls", "Z^2-wide-C", "Heisenberg-wide-C"])
+def test_boundary_sizes_stay_on_sets_where_the_table_is_wide(group, C, n_max):
+    """L1 balls of Z^12 fill under 1/10^7 of their hull's table (7^12
+    cells for ball(2) C^{-1}, 313 cells in F_2), and a C much wider than
+    the windows spans a table of many cells per window cell: no mask is
+    built, and each window is measured on its own."""
+    windows = WordBalls(group)
+    with mock.patch.object(BoxBits, "mask", side_effect=AssertionError("mask built")):
+        got = list(boundary_sizes(group, windows.shells(), C, n_max))
+    assert got == [(n, len(F), boundary_size(F, C))
+                   for n in range(1, n_max + 1) for F in [windows.set_at(n)]]

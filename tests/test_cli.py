@@ -813,12 +813,12 @@ def test_cell_count_is_the_window_size(monkeypatch, group, scheme):
         cells = len(windows.set_at(n))
         monkeypatch.setattr(cli, "MAX_CELLS", cells)
         assert len(cli._set_at(windows, n, "target")) == cells
-        assert sum(map(len, islice(cli._windows(windows, n).shells(), n + 1))) == cells
+        assert sum(map(len, islice(cli._windows(windows, n), n + 1))) == cells
         monkeypatch.setattr(cli, "MAX_CELLS", cells - 1)
         with pytest.raises(cli.CliError, match=f"--target {n} names (at least )?{cells} cells"):
             cli._set_at(windows, n, "target")
         with pytest.raises(cli.CliError, match=f"--nmax {n}: window n={n} holds {cells} cells"):
-            list(islice(cli._windows(windows, n).shells(), n + 1))
+            list(islice(cli._windows(windows, n), n + 1))
 
 
 @pytest.mark.parametrize("args", [
@@ -879,6 +879,18 @@ def test_folner_ratios_golden(capsys, group):
     n_max, expected = FOLNER_GOLDEN[group]
     code, out, err = run_cli(capsys, "folner-ratios", "--group", group, "--nmax", str(n_max))
     assert (code, out, err) == (0, expected, "")
+
+
+def test_folner_ratios_on_sparse_windows_print_at_once(capsys):
+    """L1 balls of Z^12 fill a vanishing share of their hull: the run
+    measures each window on sets instead of building a table of 7^12
+    cells, and prints as the per-window set path printed."""
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "folner-ratios", "--group", "Z^12", "--scheme", "balls",
+                             "--nmax", "2")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (
+        0, "n,folner_size,boundary_size,ratio\n1,25,312,312/25\n2,313,2600,2600/313\n", "")
 
 
 def _counted_shells(monkeypatch):
