@@ -52,8 +52,9 @@ from .tiling import greedy_quasi_tile, TilingFailed
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
-# The most cells of a window named by --cradius, --target, --tiles or
-# --nmax, counted before it is built: 10^6 cells of Z^2 take about 93 MB.
+# The most cells of a window named by --cradius, --target, --tiles,
+# --ncheck or --nmax, counted before it is built: 10^6 cells of Z^2 take
+# about 93 MB.
 MAX_CELLS = 10**6
 
 
@@ -321,17 +322,21 @@ def _estimate_csv(est) -> list:
 
 def _cmd_entropy(run: RunConfig) -> int:
     pres = run.presentation()
-    if run.get("certify_eps") is None:
+    certify = run.get("certify_eps") is not None
+    if not certify:
         run.refuse(("tiles", "ncheck"), "a run without --certify-eps")
     scheme = run.scheme(pres.group)
     n_max = run.require("nmax")
+    if certify:
+        tiles = run.index("tiles")
+        n_check = run.get("ncheck", max(tiles))
+        for key, n in (("tiles", max(tiles)), ("ncheck", n_check)):
+            _set_at(scheme, n, key)  # exit 2 before a window is tiled
     est = estimate(pres, scheme, n_max)
     status = EXIT_OK
     extra = []
-    if run.get("certify_eps") is not None:
+    if certify:
         eps = run.require("certify_eps")
-        tiles = run.index("tiles")
-        n_check = run.get("ncheck", max(tiles))
         try:
             cert = certified_upper_bound(pres, scheme, eps, tiles, n_check)
             extra.append(f"certified_upper={_fmt_fraction(cert.bound)}")

@@ -17,7 +17,7 @@ from operator import mul
 from .crossed_product import CrossedElement, find_annihilator
 from .exact_linalg import _ROW_FORMATS, BitEchelon, rank_echelon
 from .folner import nested_sets
-from .groups import FreeAbelian, hull_box, ZCrossZ2
+from .groups import box, FreeAbelian, ZCrossZ2
 from .shift_modules import (
     _quotient_split,
     _SplitRows,
@@ -75,15 +75,16 @@ def _estimate(dims, exhausted: tuple = ()) -> EntropyEstimate:
 def _box_rows(p: SubshiftPresentation, window):
     """The _BoxRows of p for the windows inside the hull of window(), or
     None, and act + pack then: off Z^d and ZxZ2, for a caller-supplied rho,
-    off _ROW_FORMATS, and where groups.hull_box refuses the box of window()
-    plus the generator supports, as a generator term far out makes it."""
+    off _ROW_FORMATS, and where the groups.box of window()'s translates by
+    the generator supports would hold more than 4 |window()| cells, as a
+    generator term far out makes it."""
     group = p.group
     shiftable = isinstance(group, (FreeAbelian, ZCrossZ2)) and p.field in _ROW_FORMATS
     if not shiftable or p.cocycle.rho is not None:
         return None
     W = window().elements
     columns, support = list(zip(*W)), [h for v in p.generators for h, _ in v]
-    root = hull_box(group, (columns, list(zip(*support))), len(W), p.rank)
+    root = box(group, columns, support, 4 * len(W), p.rank)
     if root is None:
         return None
     free = 1 if isinstance(group, ZCrossZ2) else group.dim
@@ -229,7 +230,7 @@ def certified_upper_bound(
     if not indices:
         raise ValueError("need at least one tile index")
     if n_check < max(indices):
-        raise ValueError("n_check must reach the largest tile index")
+        raise ValueError("n_check (--ncheck) must reach the largest tile index")
     tiles = [scheme.set_at(i) for i in indices]
     checked_from = max(indices)
     for n in range(checked_from, n_check + 1):

@@ -1,9 +1,11 @@
 """C-interior/exterior/boundary calculus and Folner schemes.
 
 All set computations are exact; ratios are returned as Fractions so the
-diagnostics can be asserted literally.  A scheme only provides finite-scale
-evidence: nesting and ball coverage are checked up to a budget, and no
-routine here ever claims a limit.
+diagnostics can be asserted literally.  The calculus folds the right
+translates of a window, on every group as shifts of its mask where
+groups.box grants a table, else as sets.  A scheme only provides
+finite-scale evidence: nesting and ball coverage are checked up to a
+budget, and no routine here ever claims a limit.
 """
 
 from __future__ import annotations
@@ -15,35 +17,48 @@ from fractions import Fraction
 
 from .groups import (
     ball,
+    box,
     FiniteSubset,
     FreeAbelian,
     Heisenberg,
-    hull_box,
-    right_box,
     shells,
     ZCrossZ2,
 )
 
 
-def _union_and_meet(A: FiniteSubset, C: FiniteSubset):
-    """Union and intersection of the right translates A c^{-1}, c in C, one
-    held at a time, and the map of either to its elements: xc in A exactly
-    when x in A c^{-1}.  A translate is a shift of A's mask in the box
-    hull(A) + hull(C^{-1} + {e}) where groups.hull_box grants it, else a set."""
-    A._require_same_group(C)
+# The most cells of a table of _folds per cell of the largest window F:
+# Heisenberg balls fill about 1/5 of their hull, and with C = ball(1) the
+# table holds 8 to 21 cells a cell for F = ball(n), n <= 12.  L1 balls of
+# Z^d at large d, or a C far wider than the windows, would make the table
+# huge, and stay on sets.
+SPREAD = 32
+
+
+def _folds(group, layers, C: FiniteSubset):
+    """Yield (|F|, union, meet, members) for each window F, the union of
+    the first k of layers: the union and the intersection of the right
+    translates F c^{-1}, c in C, and the map of either to its elements (xc
+    in F exactly when x in F c^{-1}).  Where groups.box grants one table
+    over the hull of F c^{-1}, c in C + {e}, for the largest F, each
+    window's mask is the last one's OR its layer's and a translate is one
+    group.shift of it; else each window is grown and translated as a set."""
+    if C.group != group:
+        raise ValueError(f"mixed groups: {group.name} vs {C.group.name}")
     if len(C) == 0:
         raise ValueError("C must be nonempty")
-    group = A.group
     steps = [group.inv(c) for c in C.sorted_elements()]
-    columns = list(zip(*A.elements))
-    box = hull_box(group, (columns, list(zip(group.identity, *steps))), len(A))
-    if box is None:
-        right = group.right_translate
-        translates, members = (right(g, A.elements) for g in steps), frozenset
-    else:
-        mask = box.mask(columns)
-        translates, members = (group.shift(box, mask, g) for g in steps), box.members
-    return (*_fold(translates), members)
+    columns = list(zip(*itertools.chain.from_iterable(layers)))
+    table = box(group, columns, [group.identity, *steps], SPREAD * sum(map(len, layers)))
+    if table is None:
+        grown, right = set(), group.right_translate
+        for layer in layers:
+            grown |= layer
+            yield len(grown), *_fold(right(g, grown) for g in steps), frozenset
+        return
+    mask = 0
+    for layer in layers:
+        mask |= table.mask(list(zip(*layer)))
+        yield mask.bit_count(), *_fold(group.shift(table, mask, g) for g in steps), table.members
 
 
 def _fold(translates):
@@ -54,6 +69,20 @@ def _fold(translates):
         union |= translate
         meet &= translate
     return union, meet
+
+
+def _gap(union, meet) -> int:
+    """|union| - |meet| of two masks or two sets."""
+    if isinstance(union, int):
+        return union.bit_count() - meet.bit_count()
+    return len(union) - len(meet)
+
+
+def _union_and_meet(A: FiniteSubset, C: FiniteSubset):
+    """The union and meet of _folds for the one window A, and their map
+    to elements."""
+    _, union, meet, members = next(_folds(A.group, [A.elements], C))
+    return union, meet, members
 
 
 def exterior(A: FiniteSubset, C: FiniteSubset) -> FiniteSubset:
@@ -69,21 +98,17 @@ def interior(A: FiniteSubset, C: FiniteSubset) -> FiniteSubset:
 
 
 def boundary(A: FiniteSubset, C: FiniteSubset) -> FiniteSubset:
-    """Boundary = exterior minus interior.  On Z^d and ZxZ2 this is the
-    union mask minus the meet mask, and only its bits are decoded; sets stay
-    on the Heisenberg group and where a far element would make the box
-    hold more than 4 |A| cells."""
+    """Boundary = exterior minus interior: the union minus the meet, as the
+    meet lies in the union, and only its elements are decoded."""
     union, meet, members = _union_and_meet(A, C)
-    return FiniteSubset._raw(A.group, members(union ^ meet))  # meet <= union
+    return FiniteSubset._raw(A.group, members(union ^ meet))
 
 
 def boundary_size(A: FiniteSubset, C: FiniteSubset) -> int:
-    """|boundary_C(A)| = |union| - |meet|, as the meet lies in the union:
-    bits are counted on masks and sets are sized, nothing is decoded."""
+    """|boundary_C(A)| = |union| - |meet|: bits are counted on masks and
+    sets are sized, nothing is decoded."""
     union, meet, _ = _union_and_meet(A, C)
-    if isinstance(union, int):
-        return union.bit_count() - meet.bit_count()
-    return len(union) - len(meet)
+    return _gap(union, meet)
 
 
 @dataclass(frozen=True)
@@ -187,44 +212,14 @@ def nested_sets(scheme, n_max: int):
         yield n, FiniteSubset._raw(scheme.group, frozenset(grown))
 
 
-# The most cells of the run-wide table of boundary_sizes per cell of
-# F_{n_max}: Heisenberg balls fill about 1/5 of their hull, and with
-# C = ball(1) the table holds 8 to 21 cells a cell for n_max <= 12.  L1
-# balls of Z^d at large d, or a C far wider than the windows, would make
-# the table huge, and stay on sets.
-SPREAD = 32
-
-
 def boundary_sizes(group, shells, C: FiniteSubset, n_max: int):
     """Yield (n, |F_n|, |boundary_C(F_n)|) for n = 1..n_max, F_n the union
-    of the first n + 1 of shells, in one BoxBits table over the hull of
-    F_{n_max} C^{-1}: each window's mask is the last one's or its shell's,
-    and its boundary is |union| - |meet| of the |C| right translates of
-    that mask, so no window is built as a set.  Where that table holds
-    over SPREAD |F_{n_max}| cells, each window is built and measured by
-    boundary_size instead."""
-    if C.group != group:
-        raise ValueError(f"mixed groups: {C.group.name} vs {group.name}")
-    if len(C) == 0:
-        raise ValueError("C must be nonempty")
+    of the first n + 1 of shells, from _folds: on one table for the run
+    where groups.box grants it, so no window is built as a set."""
     layers = list(itertools.islice(shells, n_max + 1))
-    steps = [group.inv(c) for c in C.sorted_elements()]
-    top = list(zip(*itertools.chain.from_iterable(layers)))
-    box = right_box(group, top, steps)
-    if box.size > SPREAD * len(top[0]):
-        grown = set()
-        for n, shell in enumerate(layers):
-            grown |= shell
-            if n:
-                yield n, len(grown), boundary_size(FiniteSubset._raw(group, frozenset(grown)), C)
-        return
-    mask = size = 0
-    for n, shell in enumerate(layers):
-        mask |= box.mask(list(zip(*shell)))
-        size += len(shell)
-        if n:
-            union, meet = _fold(group.right_shift(box, mask, g) for g in steps)
-            yield n, size, union.bit_count() - meet.bit_count()
+    folds = itertools.islice(_folds(group, layers, C), 1, None)
+    for n, (size, union, meet, _) in enumerate(folds, 1):
+        yield n, size, _gap(union, meet)
 
 
 def default_scheme(group):

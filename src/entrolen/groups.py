@@ -3,9 +3,9 @@
 Elements are plain tuples of ints (the order-two component of Z x Z/2 is a
 0/1 bit), so equality is structural, hashing is cheap, and the built-in
 lexicographic tuple order doubles as the canonical total order used for
-deterministic scans and column ordering downstream.  On Z^d and ZxZ2 a set
-inside a box is also an int mask in the box's BoxBits order, and a
-translate is one shift of it.
+deterministic scans and column ordering downstream.  A set inside a box
+is also an int mask in the box's BoxBits order, and a right translate A*g
+is one shift of it, one per a-slab on the Heisenberg group.
 """
 
 from __future__ import annotations
@@ -65,11 +65,9 @@ class FreeAbelian:
     right_translate = left_translate  # {a*g : a in elements}, the same set
 
     def shift(self, box, mask: int, g) -> int:
-        """The mask of gA from the mask of A, for A and gA in the box."""
+        """The mask of A*g = gA from the mask of A, for A and A*g in the box."""
         s = sum(map(mul, g, box.strides))
         return mask << s if s >= 0 else mask >> -s
-
-    right_shift = shift  # the mask of A*g, the same set
 
     def inv(self, g):
         return tuple(-a for a in g)
@@ -127,8 +125,6 @@ class ZCrossZ2:
         x *= box.strides[0]
         return mask << x if x >= 0 else mask >> -x
 
-    right_shift = shift
-
     def inv(self, g):
         return (-g[0], g[1])
 
@@ -175,7 +171,7 @@ class Heisenberg:
         x, y, z = g
         return {(a + x, b + y, c + z + a * y) for a, b, c in elements}
 
-    def right_shift(self, box, mask: int, g) -> int:
+    def shift(self, box, mask: int, g) -> int:
         """The mask of A*g from the mask of A, for A and A*g in the box.
         (a, b, c) moves to (a + x, b + y, c + z + a*y): one offset for each
         a, so with a outermost in the box order each a-slab of the mask is
@@ -393,7 +389,7 @@ class BoxBits:
 
     def mask(self, columns) -> int:
         """The mask of a set of elements of the box, given by its columns
-        zip(*elements) as hull_box takes them, read as one digit string by
+        zip(*elements) as box takes them, read as one digit string by
         int(_, 2): each element costs one digit, not the mask's width."""
         count = len(columns[0]) if columns else 0
         index = [self.size - 1 + sum(map(mul, self.lo, self.strides))] * count
@@ -414,40 +410,25 @@ class BoxBits:
         )))
 
 
-def hull_box(group, sets, cells: int, rank: int = 1):
-    """The BoxBits over hull(S_1) + hull(S_2) + ..., the sum of the
-    coordinate hulls of the sets, each given by its columns list(zip(*S)),
-    which BoxBits.mask takes too, so one transpose serves both; the Z2 bit
-    of ZxZ2 spans [0, 1].  None off Z^d and ZxZ2, whose translates are not
-    shifts, for an empty set, and for a box of more than 4 times cells
-    cells, as one element far from the others makes it."""
-    if not isinstance(group, (FreeAbelian, ZCrossZ2)) or not all(sets):
-        return None
-    lo, hi = _hull(group, sets)
-    if prod(b - a + 1 for a, b in zip(lo, hi)) > 4 * cells:
-        return None
-    return BoxBits(lo, hi, rank)
-
-
-def _hull(group, sets):
-    """(lo, hi) of hull(S_1) + hull(S_2) + ..., the Z2 bit of ZxZ2 on [0, 1]."""
-    free = 1 if isinstance(group, ZCrossZ2) else len(group.identity)
-    lo = hi = (0,) * free
-    for columns in (S[:free] for S in sets):
-        lo, hi = tuple(map(add, lo, map(min, columns))), tuple(map(add, hi, map(max, columns)))
-    torsion = len(group.identity) - free
-    return lo + (0,) * torsion, hi + (1,) * torsion
-
-
-def right_box(group, columns, steps) -> BoxBits:
+def box(group, columns, steps, cells: int, rank: int = 1):
     """The BoxBits over the coordinate hull of the right translates A*g,
-    g in steps or e, of the nonempty set A of these columns: the box in
-    which group.right_shift moves A's mask.  Unlike hull_box it refuses
-    no size: the caller weighs box.size first.  On the Heisenberg group
-    c also moves by a*y, linear in a, so each step (x, y, z) counts as
-    (x, y, z + a*y) at both ends a of A's hull."""
-    steps = [group.identity, *steps]
+    g in steps, of the set A of these columns, list(zip(*A)), which
+    BoxBits.mask takes too, so one transpose serves both: the box in
+    which group.shift moves A's mask.  The Z2 bit of ZxZ2 spans [0, 1].
+    On the Heisenberg group c also moves by a*y, linear in a, so each
+    step (x, y, z) counts as (x, y, z + a*y) at both ends a of A's hull.
+    None for an empty A or steps, and for a box of more than cells cells,
+    as one element far from the others makes it."""
+    if not columns or not steps:
+        return None
     if isinstance(group, Heisenberg):
         ends = min(columns[0]), max(columns[0])
         steps = [(x, y, z + a * y) for x, y, z in steps for a in ends]
-    return BoxBits(*_hull(group, (columns, list(zip(*steps)))))
+    free = 1 if isinstance(group, ZCrossZ2) else len(group.identity)
+    hull = list(zip(columns[:free], zip(*steps)))
+    torsion = len(group.identity) - free
+    lo = tuple(min(a) + min(g) for a, g in hull) + (0,) * torsion
+    hi = tuple(max(a) + max(g) for a, g in hull) + (1,) * torsion
+    if prod(b - a + 1 for a, b in zip(lo, hi)) > cells:
+        return None
+    return BoxBits(lo, hi, rank)

@@ -14,9 +14,9 @@ from fractions import Fraction
 from functools import reduce
 from itertools import repeat
 from math import ceil, floor
-from operator import le, or_
+from operator import or_
 
-from .groups import FiniteSubset, hull_box, translate
+from .groups import box, FiniteSubset, Heisenberg, translate
 
 
 def _tiling_eps(eps) -> Fraction:
@@ -236,10 +236,6 @@ def check_quasi_tiling(A: FiniteSubset, t: QuasiTiling) -> TilingReport:
     return TilingReport(conditions, cond1_ok and cond2_ok and cond3_ok)
 
 
-def _inside(cells: int, free: int) -> bool:
-    return not cells & ~free
-
-
 class TilingFailed(Exception):
     """Greedy placement could not reach the required cover."""
 
@@ -253,9 +249,11 @@ def greedy_quasi_tile(A: FiniteSubset, tiles, eps) -> QuasiTiling:
     order; a center is accepted when its translate lies in A, misses every
     other tile's placed region, and overlaps its own class by strictly
     less than an eps fraction of the tile T, in fewer than ceil(eps |T|)
-    cells.  On Z^d and ZxZ2 the sets are masks in the box hull(A) +
-    hull(T_1 + ... + {e}) and a translate is one shift; sets stay on the
-    Heisenberg group and where the box would hold more than 4 |A| cells.
+    cells.  On Z^d and ZxZ2 the sets are masks in the groups.box of A's
+    translates by T_1 + ... + {e} and a translate is one shift; sets stay
+    on the Heisenberg group, where ctr*T is a left translate and
+    group.shift makes right ones, and where the box would hold more than
+    4 |A| cells.
 
     Raises TilingFailed when the placed regions do not reach a
     (1 - eps)-cover of A; on success the output provably passes
@@ -275,17 +273,17 @@ def greedy_quasi_tile(A: FiniteSubset, tiles, eps) -> QuasiTiling:
     group = A.group
     reach = [group.identity, *(h for T in tiles for h in T.elements)]
     columns = list(zip(*A.elements))
-    box = hull_box(group, (columns, list(zip(*reach))), len(A))
-    if box is None:
-        full, count, inside = set(A.elements), len, le
+    table = None if isinstance(group, Heisenberg) else box(group, columns, reach, 4 * len(A))
+    if table is None:
+        full, count = set(A.elements), len
         translates = [map(group.left_translate, A, repeat(T.elements)) for T in tiles]
     else:
         base = tuple(map(min, columns))  # ctr*T = (ctr base^-1) base*T
         back = group.inv(base)
         steps = [group.mul(ctr, back) for ctr in A]
-        full, count, inside = box.mask(columns), int.bit_count, _inside
-        masks = (box.mask(list(zip(*group.left_translate(base, T.elements)))) for T in tiles)
-        translates = [map(group.shift, repeat(box), repeat(m), steps) for m in masks]
+        full, count = table.mask(columns), int.bit_count
+        masks = (table.mask(list(zip(*group.left_translate(base, T.elements)))) for T in tiles)
+        translates = [map(group.shift, repeat(table), repeat(m), steps) for m in masks]
     order = sorted(range(len(tiles)), key=lambda i: -len(tiles[i]))
     placed = [type(full)() for _ in tiles]  # empty sets or masks
     centers: list[list] = [[] for _ in tiles]
@@ -293,7 +291,8 @@ def greedy_quasi_tile(A: FiniteSubset, tiles, eps) -> QuasiTiling:
         free, own = full ^ reduce(or_, placed), placed[i]  # the others lie in A
         quota = ceil(eps * len(tiles[i]))
         for ctr, cells in zip(A, translates[i]):
-            if not inside(cells, free) or count(cells & own) >= quota:
+            inside = cells & free == cells if table else cells <= free
+            if not inside or count(cells & own) >= quota:
                 continue
             centers[i].append(ctr)
             own |= cells

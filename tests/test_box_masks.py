@@ -1,9 +1,8 @@
-"""The box bit masks behind Folner boundaries and greedy tiling on Z^d and
-ZxZ2 against the set path they replace, which stays the reference: it is
-what boundary, exterior, interior and greedy_quasi_tile run when
-groups.hull_box refuses a box, as it does here when patched to.  The
-run-wide masks of folner.boundary_sizes, the Heisenberg group's included,
-are checked against the same reference."""
+"""The box bit masks behind Folner boundaries on every group, and behind
+greedy tiling on Z^d and ZxZ2, against the set path they replace, which
+stays the reference: it is what boundary, exterior, interior,
+boundary_sizes and greedy_quasi_tile run when groups.box refuses a box,
+as it does here when patched to."""
 
 import os
 import random
@@ -26,12 +25,11 @@ from entrolen.folner import (
 )
 from entrolen.groups import (
     ball,
+    box,
     BoxBits,
     FiniteSubset,
     FreeAbelian,
     Heisenberg,
-    hull_box,
-    right_box,
     ZCrossZ2,
 )
 from entrolen.tiling import greedy_quasi_tile, TilingFailed
@@ -44,26 +42,27 @@ RADIUS = {1: 9, 2: 4, 3: 3}  # of the window a random set is drawn from
 @contextmanager
 def set_path(module):
     """Run module's routines with every box refused, i.e. on sets."""
-    with mock.patch.object(module, "hull_box", lambda *args, **kwargs: None):
+    with mock.patch.object(module, "box", lambda *args, **kwargs: None):
         yield
 
 
 def cols(S):
-    """The columns of a set, as hull_box and BoxBits.mask take it."""
+    """The columns of a set, as box and BoxBits.mask take it."""
     return list(zip(*S))
 
 
 def _element(rng, group, r):
     if isinstance(group, ZCrossZ2):
         return (rng.randint(-r, r), rng.randint(0, 1))
-    return tuple(rng.randint(-r, r) for _ in range(group.dim))
+    return tuple(rng.randint(-r, r) for _ in group.identity)
 
 
 def _window(group):
     """The cells a random set is drawn from: a box around the identity."""
     if isinstance(group, ZCrossZ2):
         return [(n, t) for n in range(-12, 13) for t in (0, 1)]
-    return _box(group.dim, RADIUS[group.dim])
+    dim = len(group.identity)
+    return _box(dim, RADIUS[dim])
 
 
 def _box(dim, r):
@@ -90,41 +89,27 @@ def test_mask_and_members_invert_each_other():
     for group in GROUPS:
         for _ in range(20):
             A = _sparse(rng, group, rng.choice([0.2, 0.5, 0.9]))
-            box = hull_box(group, (cols(A), cols([group.identity])), len(A) * 100)
-            mask = box.mask(cols(A))
+            table = box(group, cols(A), [group.identity], len(A) * 100)
+            mask = table.mask(cols(A))
             assert mask.bit_count() == len(A)
-            assert box.members(mask) == A.elements
+            assert table.members(mask) == A.elements
     assert BoxBits((0,), (3,)).members(0) == frozenset()
 
 
-@pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.name)
-def test_shift_is_the_left_translate(group):
-    """group.shift(box, mask(A), g) is mask(gA) for every g with gA inside
-    the box, the torsion bit of ZxZ2 included."""
-    rng = random.Random(SEED + 1)
-    for _ in range(30):
-        A = _sparse(rng, group, 0.4)
-        G = _small(rng, group, 6)
-        box = hull_box(group, (cols(A), cols([group.identity, *G])), 100 * len(A))
-        mask = box.mask(cols(A))
-        for g in G:
-            moved = group.left_translate(g, A.elements)
-            assert group.shift(box, mask, g) == box.mask(cols(moved))
-            assert box.members(group.shift(box, mask, g)) == moved
-
-
-@pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.name)
+@pytest.mark.parametrize("group", [*GROUPS, Heisenberg()], ids=lambda g: g.name)
 def test_boundary_calculus_masks_equal_sets(group):
-    """Random sparse A with holes, C without e in most cases, and on ZxZ2
-    elements with the torsion bit: the three sets agree with the set
-    path, and most cases do run on masks."""
+    """Random sparse A with holes, C without e in most cases, on ZxZ2
+    elements with the torsion bit, and on the Heisenberg group steps with
+    a*y != 0: the three sets agree with the set path, and most cases do
+    run on masks."""
     rng = random.Random(SEED + 2)
     boxed = 0
     for case in range(40):
         A = _sparse(rng, group, rng.choice([0.5, 0.7, 0.95]))
         C = _small(rng, group, rng.randint(1, 6), r=1 + case % 2)
         steps = [group.inv(c) for c in C]
-        boxed += hull_box(group, (cols(A), cols([group.identity, *steps])), len(A)) is not None
+        reach = [group.identity, *steps]
+        boxed += box(group, cols(A), reach, folner.SPREAD * len(A)) is not None
         got = [f(A, C) for f in (boundary, exterior, interior)]
         with set_path(folner):
             assert got == [f(A, C) for f in (boundary, exterior, interior)]
@@ -140,7 +125,7 @@ def test_boundary_calculus_masks_equal_sets(group):
 @pytest.mark.parametrize("group", [*GROUPS, Heisenberg()], ids=lambda g: g.name)
 def test_boundary_size_counts_the_boundary(group):
     """boundary_size is len(boundary) on masks, on sets, and on a set with
-    one far element, for which hull_box refuses the box."""
+    one far element, for which groups.box refuses the box."""
     rng = random.Random(SEED + 5)
     for case in range(12):
         if isinstance(group, Heisenberg):
@@ -156,8 +141,19 @@ def test_boundary_size_counts_the_boundary(group):
     A = FiniteSubset(group, [*ball(group, 2), far])
     C = ball(group, 1)
     steps = [group.inv(c) for c in C]
-    assert hull_box(group, (cols(A), cols([group.identity, *steps])), len(A)) is None
+    assert box(group, cols(A), [group.identity, *steps], folner.SPREAD * len(A)) is None
     assert boundary_size(A, C) == len(boundary(A, C)) > 0
+
+
+@pytest.mark.parametrize("group", [*GROUPS, Heisenberg()], ids=lambda g: g.name)
+def test_empty_set_has_empty_boundary_calculus(group):
+    """An empty A, or empty steps, get no box; an empty A's exterior,
+    interior and boundary are empty, and boundary_size counts 0."""
+    A, C = FiniteSubset(group), ball(group, 1)
+    assert box(group, cols(A), [group.identity], 100) is None
+    assert box(group, cols(C), [], 100) is None
+    assert [f(A, C) for f in (boundary, exterior, interior)] == [A] * 3
+    assert boundary_size(A, C) == 0
 
 
 def _greedy(A, tiles, eps):
@@ -180,7 +176,7 @@ def test_greedy_masks_equal_sets(group):
             tiles.append(_small(rng, group, 1))
         eps = rng.choice([Fraction(1, 10), Fraction(1, 5), Fraction(1, 4)])
         reach = [group.identity, *(h for T in tiles for h in T)]
-        boxed += hull_box(group, (cols(A), cols(reach)), len(A)) is not None
+        boxed += box(group, cols(A), reach, 4 * len(A)) is not None
         got = _greedy(A, tiles, eps)
         placed += got[0] != "failed"
         with set_path(tiling):
@@ -196,12 +192,13 @@ def _refuse_masks():
 
 
 def test_far_element_gets_no_box():
-    """An element such as (10^8, 0) in C or in a tile makes the box over 4
-    times |A|: no mask is built and the set path answers."""
+    """An element such as (10^8, 0) in C or in a tile makes the box over
+    folner.SPREAD times |A|, and so over the tiler's 4 |A|: no mask is
+    built and the set path answers."""
     Z2 = FreeAbelian(2)
     A = FiniteSubset(Z2, _box(2, 3))
     far = FiniteSubset(Z2, [(0, 0), (10**8, 0)])
-    assert hull_box(Z2, (cols(A), cols([(0, 0), (-(10**8), 0)])), len(A)) is None
+    assert box(Z2, cols(A), [(0, 0), (-(10**8), 0)], folner.SPREAD * len(A)) is None
     with _refuse_masks():
         got = boundary(A, far), exterior(A, far), interior(A, far)
     shifted = {(a - 10**8, b) for a, b in A.elements}
@@ -217,12 +214,25 @@ def test_far_element_gets_no_box():
 
 
 def test_heisenberg_stays_on_sets():
+    """greedy_quasi_tile builds no mask on the Heisenberg group, where a
+    center's translate c*T is a left translate, not a shift."""
     H = Heisenberg()
-    A, C = ball(H, 3), ball(H, 1)
-    assert hull_box(H, (cols(A), cols(C)), len(A)) is None
     with _refuse_masks():
-        assert boundary(A, C).elements == exterior(A, C).elements - interior(A, C).elements
-        assert _greedy(ball(H, 4), [C], Fraction(1, 4))
+        assert _greedy(ball(H, 4), [ball(H, 1)], Fraction(1, 4))
+
+
+def test_heisenberg_balls_fold_on_masks():
+    """ball(n) of the Heisenberg group with C = ball(1) fits the default
+    folner.SPREAD, so its boundaries are folded on masks, per window and
+    over a run: no set is right translated, and they are the set path's."""
+    H = Heisenberg()
+    C, balls = ball(H, 1), [ball(H, n) for n in range(1, 7)]
+    with set_path(folner):
+        expected = [boundary(F, C) for F in balls]
+    with mock.patch.object(Heisenberg, "right_translate", side_effect=AssertionError("sets")):
+        assert [boundary(F, C) for F in balls] == expected
+        assert list(boundary_sizes(H, WordBalls(H).shells(), C, 6)) == [
+            (n, len(F), len(B)) for n, F, B in zip(range(1, 7), balls, expected)]
 
 
 def _heisenberg_set(rng):
@@ -234,25 +244,27 @@ def _heisenberg_set(rng):
 
 @pytest.mark.parametrize("group", [*GROUPS, Heisenberg()], ids=lambda g: g.name)
 def test_right_shift_is_the_right_translate(group):
-    """group.right_shift(box, mask(A), g) is mask(Ag) in the box that
-    right_box grants A and the steps; on the Heisenberg group the steps
-    have |y| <= 3 and z != 0, so c moves by z + a*y."""
+    """group.shift(box, mask(A), g) is mask(Ag) in the box that groups.box
+    grants A and the steps with e; Ag = gA off the Heisenberg group, and
+    on ZxZ2 some steps carry the torsion bit.  On the Heisenberg group the
+    steps have |y| <= 3 and z != 0, so c moves by z + a*y."""
     rng = random.Random(SEED + 6)
-    for _ in range(10):
+    for _ in range(30):
         if isinstance(group, Heisenberg):
             A = _heisenberg_set(rng)
             steps = [(rng.randint(-3, 3), rng.randint(-3, 3), rng.choice([-4, -1, 2, 5]))
                      for _ in range(6)]
         else:
             A, steps = _sparse(rng, group, 0.4), sorted(_small(rng, group, 6))
-        box = right_box(group, cols(A), steps)
-        mask = box.mask(cols(A))
+        table = box(group, cols(A), [group.identity, *steps], 100 * len(A))
+        mask = table.mask(cols(A))
         for g in steps:
             moved = group.right_translate(g, A.elements)
+            assert moved == group.left_translate(g, A.elements) or isinstance(group, Heisenberg)
             for h in moved:  # BoxBits.get raises outside the box
-                box.get((h, 0))
-            assert group.right_shift(box, mask, g) == box.mask(cols(moved))
-            assert box.members(group.right_shift(box, mask, g)) == moved
+                table.get((h, 0))
+            assert group.shift(table, mask, g) == table.mask(cols(moved))
+            assert table.members(group.shift(table, mask, g)) == moved
 
 
 def _coordinate_box(group, r):

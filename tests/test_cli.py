@@ -55,7 +55,7 @@ def test_entropy_with_a_far_generator_term(capsys):
 
 
 def test_entropy_with_certification(capsys):
-    code, out, _ = run_cli(
+    code, out, err = run_cli(
         capsys,
         "entropy",
         "--group", "Z",
@@ -67,9 +67,12 @@ def test_entropy_with_certification(capsys):
         "--tiles", "5",
         "--ncheck", "5",
     )
-    assert code == 0
-    assert "certified_upper=109/90" in out
-    assert "certified_windows=5..5" in out
+    assert (code, err) == (0, "")
+    assert out == "".join(
+        ["n,folner_size,trajectory_dim,ratio\n"]
+        + [f"{n},{2 * n + 1},{2 * n + 1},1/1\n" for n in range(1, 6)]
+        + ["certified_upper=109/90\n", "certified_windows=5..5\n"]
+    )
 
 
 def test_certification_budget_exit(capsys):
@@ -89,6 +92,26 @@ def test_certification_budget_exit(capsys):
     assert out.splitlines() == ["n,folner_size,trajectory_dim,ratio"] + [
         f"{n},{2 * n + 1},{2 * n + 1},1/1" for n in range(1, 7)
     ] + ["certified_upper=unavailable (greedy cover 11/13 below required 9/10)"]
+
+
+@pytest.mark.parametrize("flags, line", [
+    (["--tiles", "3000"], "--tiles 3000 names 36012001 cells, over the limit of 1000000"),
+    (["--tiles", "3", "--ncheck", "3000"],
+     "--ncheck 3000 names 36012001 cells, over the limit of 1000000"),
+    (["--tiles", "3", "--ncheck", "2"], "n_check (--ncheck) must reach the largest tile index"),
+], ids=["tiles", "ncheck", "ncheck-below-tiles"])
+def test_certified_windows_over_the_limit_exit_2(capsys, flags, line):
+    """The largest tile window and the last checked window are counted
+    before any window is built: exit 2 at once, naming the flag, as when
+    --ncheck falls short of the largest tile."""
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "entropy", "--group", "Z^2", "--field", "gf2", "--rank", "1",
+        "--gen", "1*(0,0)|1", "--nmax", "1", "--certify-eps", "1/10", *flags,
+    )
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == f"error: {line}\n"
 
 
 def test_quotient_entropy(capsys):
