@@ -96,6 +96,23 @@ def test_mask_and_members_invert_each_other():
     assert BoxBits((0,), (3,)).members(0) == frozenset()
 
 
+@pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.name)
+def test_shift_is_the_left_translate(group):
+    """group.shift(box, mask(A), g) is mask(gA) for every g with gA inside
+    the box, the torsion bit of ZxZ2 included: these groups are abelian,
+    so the box of the right translates holds the left ones."""
+    rng = random.Random(SEED + 1)
+    for _ in range(30):
+        A = _sparse(rng, group, 0.4)
+        G = _small(rng, group, 6)
+        table = box(group, cols(A), [group.identity, *G], 100 * len(A))
+        mask = table.mask(cols(A))
+        for g in G:
+            moved = group.left_translate(g, A.elements)
+            assert group.shift(table, mask, g) == table.mask(cols(moved))
+            assert table.members(group.shift(table, mask, g)) == moved
+
+
 @pytest.mark.parametrize("group", [*GROUPS, Heisenberg()], ids=lambda g: g.name)
 def test_boundary_calculus_masks_equal_sets(group):
     """Random sparse A with holes, C without e in most cases, on ZxZ2
