@@ -326,7 +326,7 @@ def _cmd_entropy(run: RunConfig) -> int:
     if not certify:
         run.refuse(("tiles", "ncheck"), "a run without --certify-eps")
     scheme = run.scheme(pres.group)
-    n_max = run.require("nmax")
+    n_max = _nmax(run, scheme)
     if certify:
         tiles = run.index("tiles")
         n_check = run.get("ncheck", max(tiles))
@@ -353,7 +353,7 @@ def _cmd_quotient(run: RunConfig) -> int:
     sub = _sub_presentation(run, pres)
     scheme = run.scheme(pres.group)
     est = estimate_quotient(
-        pres, sub, scheme, run.require("nmax"), run.stabilization()
+        pres, sub, scheme, _nmax(run, scheme), run.stabilization()
     )
     _emit(_estimate_csv(est), run.get("out"))
     return _budget_status(est.exhausted)
@@ -384,7 +384,7 @@ def _cmd_addition(run: RunConfig) -> int:
         pres,
         sub,
         scheme,
-        run.require("nmax"),
+        _nmax(run, scheme),
         run.get("tol", Fraction(1, 20)),
         run.stabilization(),
     )
@@ -420,7 +420,7 @@ def _cmd_zerodiv(run: RunConfig) -> int:
         x,
         cocycle,
         scheme,
-        run.require("nmax"),
+        _nmax(run, scheme),
         run.require("radius"),
         run.stabilization(),
     )
@@ -479,7 +479,7 @@ def _set_at(scheme, n: int, key: str):
 def _windows(scheme, n_max: int):
     """The shells of scheme, after exit 2 naming the first window F_n,
     n <= n_max, over MAX_CELLS cells, found by bisection on _cells, or
-    counted by _counted where _cells has no count."""
+    counted by _counted, as they are read, where _cells has no count."""
     def message(k, cells):
         return f"--nmax {n_max}: window n={k} holds {cells} cells"
 
@@ -489,6 +489,15 @@ def _windows(scheme, n_max: int):
     if k <= n_max:
         raise CliError(f"{message(k, _cells(scheme, k))}, over the limit of {MAX_CELLS}")
     return scheme.shells()
+
+
+def _nmax(run: RunConfig, scheme) -> int:
+    """--nmax, after _windows checks the windows that _cells counts, before
+    any is built.  A Heisenberg ball passes: its shells are never read here,
+    as counting them would grow every ball twice."""
+    n_max = run.require("nmax")
+    _windows(scheme, n_max)
+    return n_max
 
 
 def _cmd_tile(run: RunConfig) -> int:

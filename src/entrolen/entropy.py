@@ -19,9 +19,9 @@ from .exact_linalg import _ROW_FORMATS, BitEchelon, rank_echelon
 from .folner import nested_sets
 from .groups import box, FreeAbelian, ZCrossZ2
 from .shift_modules import (
+    _Packer,
     _quotient_split,
     _SplitRows,
-    _translates,
     bernoulli,
     cyclic_presentation,
     StabilizationConfig,
@@ -74,7 +74,7 @@ def _estimate(dims, exhausted: tuple = ()) -> EntropyEstimate:
 
 def _box_rows(p: SubshiftPresentation, window):
     """The _BoxRows of p for the windows inside the hull of window(), or
-    None, and act + pack then: off Z^d and ZxZ2, for a caller-supplied rho,
+    None, and a _Packer then: off Z^d and ZxZ2, for a caller-supplied rho,
     off _ROW_FORMATS, and where the groups.box of window()'s translates by
     the generator supports would hold more than 4 |window()| cells, as a
     generator term far out makes it."""
@@ -136,17 +136,18 @@ def _trajectory_dims(p: SubshiftPresentation, windows, largest):
     a window not containing the previous one restarts from an empty echelon.
 
     The rows are _BoxRows shifts in the box of largest(), the largest
-    window, where _box_rows grants that box, else act + pack.  A window
+    window, where _box_rows grants that box, else a _Packer's.  A window
     outside the box restarts the echelon in a box of its own, so no row
     ever wraps."""
-    box, ech, prev = _box_rows(p, largest), None, frozenset()
+    box, rows, prev = _box_rows(p, largest), None, frozenset()
     for n, F in windows:
         new = F.elements - prev
         if box and not box.covers(new):
-            box, ech = _box_rows(p, lambda: F), None
-        if ech is None or not prev <= F.elements:
-            ech, new = box.root.sibling() if box else rank_echelon(p.field), F.elements
-        for x in box.translates(new) if box else map(ech.pack, _translates(p, new)):
+            box, rows = _box_rows(p, lambda: F), None
+        if rows is None or not prev <= F.elements:
+            rows = box or _Packer(p, rank_echelon(p.field))
+            ech, new = rows.root.sibling(), F.elements
+        for x in rows.translates(new):
             ech.add(x)
         prev = F.elements
         yield n, len(F), ech.dim

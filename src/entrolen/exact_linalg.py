@@ -463,21 +463,32 @@ class BitEchelon:
         return ech
 
     def pack(self, vec: dict):
-        """The packed row of vec: bit 0 and bit 1 of each coefficient go
-        to the label's bit of two planes, which _row combines."""
-        bits = self.bits
-        lo = hi = 0
-        for lbl, v in vec.items():
-            b = bits.get(lbl)
-            if b is None:
-                b = bits[lbl] = len(bits)
-            if v == 1:  # the only case over GF(2)
-                lo |= 1 << b
-            else:
-                hi |= 1 << b
-                if v == 3:
-                    lo |= 1 << b
-        return self._row(lo, hi)
+        """The packed row of vec, its labels numbered in vec's order."""
+        planes = _planes(vec.values())
+        return self.pack_moved([(None, [(vec, planes)])], lambda g, label: label)[0]
+
+    def pack_moved(self, moves, move) -> list:
+        """The packed row of each vec with its labels l taken to move(g, l),
+        for (g, vecs) in moves and (vec, planes) in vecs, in that order: a
+        label new to the table takes the next bit, and bit 0 and bit 1 of
+        each coefficient, its _planes, go to the label's bit of two planes,
+        which _row combines."""
+        bits, row, rows = self.bits, self._row, []
+        for g, vecs in moves:
+            for vec, planes in vecs:
+                lo = hi = 0
+                for label, (a, b) in zip(vec, planes):
+                    label = move(g, label)
+                    k = bits.get(label)
+                    if k is None:
+                        k = bits[label] = len(bits)
+                    k = 1 << k
+                    if a:
+                        lo |= k
+                    if b:
+                        hi |= k
+                rows.append(row(lo, hi))
+        return rows
 
     def _eliminate(self, x, mask: int):
         """Subtract rows from x, top down, until no pivot bit of mask is set."""
@@ -511,6 +522,12 @@ class BitEchelon:
         rows[top] = self._unit(x, top)
         self.pivots |= 1 << top
         return top
+
+
+def _planes(coefficients) -> list:
+    """Bit 0 and bit 1 of each coefficient: of the value over GF(2) and
+    GF(3), of a + 2b for a + b*w over GF(4)."""
+    return [(a & 1, a >> 1) for a in coefficients]
 
 
 def _gf3_sub(x, row, bit):

@@ -47,8 +47,9 @@ def _folds(group, layers, C: FiniteSubset):
     if len(C) == 0:
         raise ValueError("C must be nonempty")
     steps = [group.inv(c) for c in C.sorted_elements()]
-    columns = list(zip(*itertools.chain.from_iterable(layers)))
-    table = box(group, columns, [group.identity, *steps], SPREAD * sum(map(len, layers)))
+    columns = [list(zip(*layer)) for layer in layers]  # each layer transposed once
+    hull = [list(itertools.chain(*c)) for c in zip(*filter(None, columns))]
+    table = box(group, hull, [group.identity, *steps], SPREAD * sum(map(len, layers)))
     if table is None:
         grown, right = set(), group.right_translate
         for layer in layers:
@@ -56,8 +57,8 @@ def _folds(group, layers, C: FiniteSubset):
             yield len(grown), *_fold(right(g, grown) for g in steps), frozenset
         return
     mask = 0
-    for layer in layers:
-        mask |= table.mask(list(zip(*layer)))
+    for layer in columns:
+        mask |= table.mask(layer)
         yield mask.bit_count(), *_fold(group.shift(table, mask, g) for g in steps), table.members
 
 

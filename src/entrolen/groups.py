@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import chain, combinations, count, islice, product, repeat
 from math import prod
 from operator import add, floordiv, mod, mul, sub
 
@@ -339,11 +339,20 @@ def shells(group, start):
     """Yield start, then each new shell S*W - W of W_0 = start,
     W_{k+1} = S*W_k, for the generating set S (which contains e); only the
     last shell is multiplied, as S*W_k - W_k = S*(W_k - W_{k-1}) - W_k.
-    The first r + 1 shells of (e,) make up ball(r), those of F ball(r)*F."""
-    gens = [s for s in group.generators() if s != group.identity]  # e*W_k lies in W_k
-    left = group.left_translate
+    The first r + 1 shells of (e,) make up ball(r), those of F ball(r)*F.
+    On Z^d, W_k of a box [lo, hi] is the set of points within L1 distance
+    k of it, so _box_shells builds each shell in closed form instead."""
     seen = set(start)
     shell = frozenset(seen)
+    if isinstance(group, FreeAbelian) and seen:
+        columns = list(zip(*seen))
+        lo, hi = tuple(map(min, columns)), tuple(map(max, columns))
+        if len(seen) == prod(b - a + 1 for a, b in zip(lo, hi)):
+            yield shell
+            yield from _box_shells(lo, hi)
+            return
+    gens = [s for s in group.generators() if s != group.identity]  # e*W_k lies in W_k
+    left = group.left_translate
     while True:
         yield shell
         grown = set()
@@ -351,6 +360,21 @@ def shells(group, start):
             grown |= left(s, shell)
         shell = frozenset(grown - seen)
         seen |= shell
+
+
+def _box_shells(lo: tuple, hi: tuple):
+    """Yield shell m = 1, 2, ... of the box [lo, hi] of Z^d, the x with
+    sum_i dist(x_i, [lo_i, hi_i]) = m: for each split of m into distances
+    k_i (stars and bars: d - 1 bars among m + d - 1 places), the product of
+    [lo_i, hi_i] where k_i = 0 and {lo_i - k_i, hi_i + k_i} elsewhere."""
+    def at(a, b, k):
+        return range(a, b + 1) if k == 0 else (a - k, b + k)
+
+    d = len(lo)
+    for m in count(1):
+        splits = ([b - a - 1 for a, b in zip((-1, *bars), (*bars, m + d - 1))]
+                  for bars in combinations(range(m + d - 1), d - 1))
+        yield frozenset(chain.from_iterable(product(*map(at, lo, hi, ks)) for ks in splits))
 
 
 def ball(group, r: int) -> FiniteSubset:

@@ -12,7 +12,7 @@ outcome carries an explicit stabilized/budget-exhausted flag.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, count, islice
+from itertools import chain, count, islice, repeat
 
 from .crossed_product import (
     _add_term,
@@ -23,7 +23,9 @@ from .crossed_product import (
     CocycleData,
     CrossedElement,
 )
-from .exact_linalg import Echelon, field_from_name, rank_echelon, span, Subspace
+from .exact_linalg import (
+    _planes, BitEchelon, Echelon, field_from_name, rank_echelon, span, Subspace,
+)
 from .groups import (
     FiniteSubset,
     format_group_element,
@@ -126,14 +128,54 @@ def _check_same_ambient(M: SubshiftPresentation, N: SubshiftPresentation):
 
 def _translates(p: SubshiftPresentation, elements):
     """act(g, v) for g in elements, descending, and v a generator; the
-    descending scan keeps fill-in low for shift-structured inputs.  The
-    quotient split reads the same order from _SplitRows, which acts on and
-    packs each translate once per run; entropy._BoxRows yields the same
-    rows, packed, as bit shifts."""
+    descending scan keeps fill-in low for shift-structured inputs.  _Packer
+    and entropy._BoxRows yield the same rows, packed."""
     c = p.cocycle
     for g in sorted(elements, reverse=True):
         for v in p.generators:
             yield act(g, v, c)
+
+
+class _Packer:
+    """The packed rows of _translates(p, gs) on the table of root, as
+    rows(gs) for gs in descending order.  On the bit kernel with rho
+    identically 1, act(g, v) has the coefficients of act(g', v), in v's term
+    order, wherever sigma's exponents at g and g' agree modulo the
+    automorphism's order: act runs once per generator and exponent class,
+    and each g only numbers its labels (g h, j) on the table and ORs in
+    their plane bits, which is root.pack(act(g, v)) bit for bit.  Else each
+    row is root.pack(act(g, v))."""
+
+    __slots__ = ("p", "root", "rows")
+
+    def __init__(self, p: SubshiftPresentation, root):
+        self.p, self.root, c = p, root, p.cocycle
+        if not isinstance(root, BitEchelon) or c.rho is not None:
+            self.rows = lambda gs: [root.pack(x) for x in _translates(p, gs)]
+            return
+        mul, order, classes = p.group.mul, p.field.auto_order, {}
+
+        def move(g, label):
+            h, j = label
+            return mul(g, h), j
+
+        def terms(g):
+            """Each generator with the _planes of its coefficients in act(g, v)."""
+            e = c.sigma_exp(g) % order
+            if (found := classes.get(e)) is None:
+                found = classes[e] = [(v, _planes(act(g, v, c).values())) for v in p.generators]
+            return found
+
+        def rows(gs):
+            if c.frobenius:
+                return root.pack_moved([(g, terms(g)) for g in gs], move)
+            return root.pack_moved(zip(gs, repeat(terms(p.group.identity))), move)
+
+        self.rows = rows
+
+    def translates(self, elements) -> list:
+        """The packed rows of _translates(p, elements)."""
+        return self.rows(sorted(elements, reverse=True))
 
 
 def trajectory_echelon(p: SubshiftPresentation, F: FiniteSubset) -> Echelon:
@@ -162,8 +204,8 @@ class _SplitRows:
     """Per-run state of _quotient_split over a sequence of windows.
 
     It holds the root echelon, whose label table every echelon of the run
-    shares, the packed rows of M's and of N's translates at each g, acted
-    on and packed at most once per run, and the running echelons of
+    shares, the packed rows of M's and of N's translates at each g, which a
+    _Packer builds at most once per run, and the running echelons of
     T = T_F(M), V = T_F(N) and W = T + V, grown by each window's new
     elements (exact: a rank depends only on the row space); a window not
     containing the previous one restarts all three.  image is the last
@@ -177,20 +219,22 @@ class _SplitRows:
     __slots__ = ("M", "N", "root", "T", "V", "W", "prev", "image", "chain", "grower")
 
     def __init__(self, M: SubshiftPresentation, N: SubshiftPresentation):
-        self.M, self.N = (M, {}), (N, {})  # presentation, g -> packed rows
-        self.root = rank_echelon(M.field)
+        self.root = root = rank_echelon(M.field)
+        self.M, self.N = (_Packer(M, root), {}), (_Packer(N, root), {})  # g -> rows
         self.prev = None  # the first grow starts the echelons
         self.image = (frozenset(), frozenset(), ())
         self.chain = []  # the first window starts the chain
 
     def translates(self, side, elements):
-        """The packed rows of _translates(p, elements) for side = (p, cache)."""
-        (p, cache), pack = side, self.root.pack
-        for g in sorted(elements, reverse=True):
-            rows = cache.get(g)
-            if rows is None:
-                rows = cache[g] = tuple(pack(x) for x in _translates(p, (g,)))
-            yield from rows
+        """The packed rows of _translates(p, elements) for side = (packer
+        of p, cache); the g not yet in the cache are packed in one call."""
+        packer, cache = side
+        gs = sorted(elements, reverse=True)
+        if missing := [g for g in gs if g not in cache]:
+            rows, n = packer.rows(missing), len(packer.p.generators)  # n rows a g
+            cache.update((g, rows[i:i + n]) for g, i in zip(missing, count(0, n)))
+        for g in gs:
+            yield from cache[g]
 
     def grow(self, elements: frozenset):
         """Bring T, V and W to the window F of these elements."""
@@ -226,7 +270,7 @@ class _SplitRows:
             j += 1
         else:
             self.chain, j = [], 0
-            self.grower = shells(self.M[0].group, elements)
+            self.grower = shells(self.M[0].p.group, elements)
         for k in count(j + 1):
             entry = self._shell(k)
             if entry[1] is None:

@@ -251,6 +251,67 @@ def test_addition_check_z2_over_q_golden(capsys):
     )
 
 
+_SCALED_QUOTIENTS = {
+    # ball(7) of the Heisenberg group, 1,069 cells
+    "heisenberg": (
+        ["--group", "Heisenberg", "--gen", "1*(0,0,0)|1",
+         "--ngen", "1*(0,0,0)|1 + 2*(1,0,0)|1 + 1*(0,1,0)|1", "--nmax", "7"],
+        "n,folner_size,trajectory_dim,ratio\n"
+        "1,5,4,4/5\n"
+        "2,17,12,12/17\n"
+        "3,53,34,34/53\n"
+        "4,135,75,5/9\n"
+        "5,299,138,6/13\n"
+        "6,593,238,238/593\n"
+        "7,1069,376,376/1069\n"
+    ),
+    # Z^2 boxes to n = 25, each window growing its own box shells
+    "z2": (
+        ["--group", "Z^2", "--gen", "1*(0,0)|1",
+         "--ngen", "1*(0,0)|1 + 2*(1,0)|1 + 1*(0,1)|1 + 2*(1,1)|1", "--nmax", "25"],
+        "n,folner_size,trajectory_dim,ratio\n"
+        "1,9,5,5/9\n"
+        "2,25,9,9/25\n"
+        "3,49,13,13/49\n"
+        "4,81,17,17/81\n"
+        "5,121,21,21/121\n"
+        "6,169,25,25/169\n"
+        "7,225,29,29/225\n"
+        "8,289,33,33/289\n"
+        "9,361,37,37/361\n"
+        "10,441,41,41/441\n"
+        "11,529,45,45/529\n"
+        "12,625,49,49/625\n"
+        "13,729,53,53/729\n"
+        "14,841,57,57/841\n"
+        "15,961,61,61/961\n"
+        "16,1089,65,65/1089\n"
+        "17,1225,69,69/1225\n"
+        "18,1369,73,73/1369\n"
+        "19,1521,77,77/1521\n"
+        "20,1681,81,81/1681\n"
+        "21,1849,85,85/1849\n"
+        "22,2025,89,89/2025\n"
+        "23,2209,93,93/2209\n"
+        "24,2401,97,97/2401\n"
+        "25,2601,101,101/2601\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SCALED_QUOTIENTS))
+def test_scaled_quotient_golden(capsys, case):
+    """Two scaled GF(3) quotient runs, byte for byte as they printed when
+    every translate was acted on and packed and every box shell grown by
+    translation."""
+    args, expected = _SCALED_QUOTIENTS[case]
+    code, out, err = run_cli(
+        capsys, "quotient-entropy", "--field", "gf3", "--rank", "1", *args
+    )
+    assert (code, err) == (0, "")
+    assert out == expected
+
+
 @pytest.mark.parametrize("tol, code", [("-1", 2), ("0", 0)])
 def test_addition_check_rejects_a_negative_tolerance(capsys, tol, code):
     got, out, err = run_cli(
@@ -815,6 +876,49 @@ def test_oversized_windows_exit_2_at_once(capsys, args):
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and "cells, over the limit of 1000000" in err
+
+
+_Z2_RING = ["--group", "Z^2", "--field", "gf2"]
+_Z2_GEN = [*_Z2_RING, "--rank", "1", "--gen", "1*(0,0)|1"]
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["entropy", *_Z2_GEN, "--nmax", "600"], "--nmax 600: window n=500 holds 1002001"),
+        (["quotient-entropy", *_Z2_GEN, "--ngen", "1*(0,0)|1 + 1*(1,0)|1", "--nmax", "5000"],
+         "--nmax 5000: window n=500 holds 1002001"),
+        (["addition-check", "--group", "ZxZ2", "--field", "gf3", "--rank", "1",
+          "--gen", "1*(0,0)|1", "--ngen", "1*(0,1)|1", "--nmax", str(10**9)],
+         f"--nmax {10**9}: window n=250000 holds 1000002"),
+        (["zerodiv", *_Z2_RING, "--scheme", "balls", "--elem", "1*(0,0)", "--nmax", "800",
+          "--radius", "1"], "--nmax 800: window n=707 holds 1001113"),
+    ],
+    ids=["entropy", "quotient-entropy", "addition-check", "zerodiv"],
+)
+def test_window_commands_refuse_oversized_nmax(capsys, args, message):
+    """The --nmax windows of every window command are counted before any
+    is built: exit 2 at once with one line naming the first window over
+    cli.MAX_CELLS cells, as folner-ratios does."""
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *args)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == f"error: {message} cells, over the limit of 1000000\n"
+
+
+def test_window_commands_leave_heisenberg_balls_uncounted(capsys, monkeypatch):
+    """A Heisenberg ball has no closed-form count, and counting it would
+    grow every window twice, so a window command runs it unchecked."""
+    from entrolen import cli
+
+    monkeypatch.setattr(cli, "MAX_CELLS", 10)
+    code, out, err = run_cli(
+        capsys, "entropy", "--group", "Heisenberg", "--field", "gf2", "--rank", "1",
+        "--gen", "1*(0,0,0)|1", "--nmax", "3",
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "3,53,53,1/1"
 
 
 @pytest.mark.parametrize(

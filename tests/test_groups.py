@@ -1,4 +1,5 @@
 import random
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -113,6 +114,55 @@ def test_shells_partition_balls_and_grown_windows(group):
             assert union == {group.mul(b, w) for b in balls[r] for w in start}
     for r in range(7):
         assert ball(group, r).elements == balls[r]
+
+
+def _grown_shells(group, start, count):
+    """The first count shells of start grown by the definition: shell k + 1
+    is S times shell k, less every element seen."""
+    seen = set(start)
+    shell, found = frozenset(seen), []
+    for _ in range(count):
+        found.append(shell)
+        shell = frozenset({group.mul(s, x) for s in group.generators() for x in shell} - seen)
+        seen |= shell
+    return found
+
+
+def _box_start(lo, hi):
+    return list(product(*(range(a, b + 1) for a, b in zip(lo, hi))))
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [((-2,), (2,)), ((3,), (7,)), ((0,), (0,)),
+     ((-1, -1), (1, 1)), ((2, -4), (5, -3)), ((-3, 1), (-3, 1)),
+     ((-1, -1, -1), (1, 1, 1)), ((0, 2, -5), (3, 2, -4)), ((4, 4, 4), (4, 4, 4))],
+    ids=lambda b: ",".join(map(str, b)),
+)
+def test_box_shells_equal_grown_shells(lo, hi):
+    """On Z, Z^2 and Z^3, the closed-form shells of a box, centred, off
+    centre or one point, are the grown shells, shell for shell."""
+    group = FreeAbelian(len(lo))
+    start = _box_start(lo, hi)
+    assert list(islice(shells(group, start), 6)) == _grown_shells(group, start, 6)
+
+
+@pytest.mark.parametrize(
+    "group, start",
+    [(Z2, _box_start((-1, -1), (1, 1))[1:]),  # a box less a corner
+     (Z2, [(0, 0), (2, 0)]),  # the hull's middle missing
+     (Z2, ball(Z2, 2).elements),
+     (FreeAbelian(3), [(0, 0, 0), (1, 1, 1)]),
+     (Z2, []),
+     (ZZ2, _box_start((-2, 0), (2, 1))),
+     (H, _box_start((-1, -1, -1), (1, 1, 1)))],
+    ids=["Z^2-corner", "Z^2-gap", "Z^2-ball", "Z^3-diagonal", "Z^2-empty", "ZxZ2-box",
+         "Heisenberg-box"],
+)
+def test_other_starts_keep_grown_shells(group, start):
+    """A start that is no box of Z^d, and a box of another group, grow
+    their shells as before."""
+    assert list(islice(shells(group, start), 6)) == _grown_shells(group, start, 6)
 
 
 def test_translate_examples():

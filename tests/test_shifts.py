@@ -18,6 +18,7 @@ from entrolen.exact_linalg import (
     PrimeField,
     QuadraticField,
     RationalField,
+    rank_echelon,
     span,
     Subspace,
 )
@@ -33,6 +34,7 @@ from entrolen.groups import (
     ZCrossZ2,
 )
 from entrolen.shift_modules import (
+    _Packer,
     _quotient_split,
     _SplitRows,
     bernoulli,
@@ -259,6 +261,46 @@ def test_shared_split_rows_equal_fresh_splits(cocycle, scheme, order):
                 F = scheme.set_at(n)
                 fresh = astuple(_quotient_split(M, N, F, approx))
                 assert astuple(_quotient_split(M, N, F, approx, rows)) == fresh, (n, approx)
+
+
+def _odd_rho(field):
+    """A caller-supplied rho whose values move with g, not with the sigma
+    exponent class of g alone."""
+    return lambda g, h: field.one if (g[0] + g[-1] * h[0]) % 2 == 0 else 2  # -1 or w
+
+
+_PACKER_GROUPS = (Z, FreeAbelian(2), ZZ2, Heisenberg())
+_PACKER_COCYCLES = [
+    *(CocycleData(field, G, frobenius) for G in _PACKER_GROUPS
+      for field, frobenius in ((GF2, False), (GF3, False), (QuadraticField(2), False),
+                               (QuadraticField(2), True))),
+    CocycleData(GF3, FreeAbelian(2), rho=_odd_rho(GF3)),
+    CocycleData(QuadraticField(2), Heisenberg(), True, _odd_rho(QuadraticField(2))),
+]
+
+
+@pytest.mark.parametrize("cocycle", _PACKER_COCYCLES, ids=repr)
+def test_packer_rows_equal_act_and_pack(cocycle):
+    """For every g of a window, all at once in the descending scan, then
+    one at a time in a random order, a _Packer's rows are
+    root.pack(act(g, v, c)) bit for bit at ranks 1 and 2, and its table
+    ends with the same labels in the same order as the table of those
+    packs: on the bit kernel, plain and Frobenius, where each g only
+    numbers its labels, and for a caller-supplied rho, which keeps act +
+    pack."""
+    rng = random.Random(53)
+    window = ball(cocycle.group, 3).sorted_elements()[::-1]
+    for rank in (1, 2):
+        p = _random_presentation(rng, cocycle, rank)
+        packer, reference = _Packer(p, rank_echelon(cocycle.field)), rank_echelon(cocycle.field)
+
+        def packed(gs):
+            return [reference.pack(act(g, v, cocycle)) for g in gs for v in p.generators]
+
+        assert packer.rows(window) == packed(window)
+        for g in rng.sample(window, len(window)):
+            assert packer.rows([g]) == packed([g])
+        assert list(packer.root.bits) == list(reference.bits)
 
 
 def _shell_case(cocycle, *windows):
