@@ -54,7 +54,10 @@ EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
 # The most cells of a window named by --cradius, --target, --tiles,
 # --ncheck or --nmax, counted before it is built: 10^6 cells of Z^2 take
-# about 93 MB.
+# about 93 MB.  It counts cells, not echelon memory: a packed row holds as
+# many bits as its pivot's index, so a window's echelon grows as |F|^2, and
+# entropy on Z^2 at --nmax 499 (998001 cells) exits 3 out of memory under a
+# 1 GB address-space cap.  ROADMAP item 4 counts the echelon bytes instead.
 MAX_CELLS = 10**6
 
 

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, product
-from operator import mul
+from itertools import islice
 
 from .crossed_product import CrossedElement, find_annihilator
 from .exact_linalg import _ROW_FORMATS, BitEchelon, rank_echelon
@@ -73,11 +72,11 @@ def _estimate(dims, exhausted: tuple = ()) -> EntropyEstimate:
 
 
 def _box_rows(p: SubshiftPresentation, window):
-    """The _BoxRows of p for the windows inside the hull of window(), or
-    None, and a _Packer then: off Z^d and ZxZ2, for a caller-supplied rho,
-    off _ROW_FORMATS, and where the groups.box of window()'s translates by
-    the generator supports would hold more than 4 |window()| cells, as a
-    generator term far out makes it."""
+    """The box _Packer of p for the windows inside the hull of window(), or
+    None: off Z^d and ZxZ2, for a caller-supplied rho, off _ROW_FORMATS,
+    and where the groups.box of window()'s translates by the generator
+    supports would hold more than 4 |window()| cells, as a generator term
+    far out makes it."""
     group = p.group
     shiftable = isinstance(group, (FreeAbelian, ZCrossZ2)) and p.field in _ROW_FORMATS
     if not shiftable or p.cocycle.rho is not None:
@@ -87,47 +86,8 @@ def _box_rows(p: SubshiftPresentation, window):
     root = box(group, columns, support, 4 * len(W), p.rank)
     if root is None:
         return None
-    free = 1 if isinstance(group, ZCrossZ2) else group.dim
-    base, top = tuple(map(min, columns[:free])), tuple(map(max, columns[:free]))
-    return _BoxRows(p, BitEchelon(p.field, root), base, top)
-
-
-class _BoxRows:
-    """Translates as bit shifts (Kronecker substitution, von zur Gathen and
-    Gerhard, Modern Computer Algebra, 8.4).  In the BoxBits order of root,
-    for g in the box [base, top], the packed act(g, v) is v moved to b, the
-    base with g's torsion bit, with sigma_g on its coefficients, shifted
-    left by the offset of g - b: each v is packed once per torsion bit and
-    sigma exponent mod 2, the order of the Frobenius."""
-
-    __slots__ = ("root", "base", "top", "rows", "sigma")
-
-    def __init__(self, p: SubshiftPresentation, root: BitEchelon, base, top):
-        self.root, self.base, self.top = root, base, top
-        mul_g, auto, frobenius = p.group.mul, p.field.apply_auto, p.cocycle.frobenius
-        self.rows = {
-            (t, e): tuple(
-                root.pack({(mul_g(base + t, h), j): auto(a, e) for (h, j), a in v.items()})
-                for v in p.generators
-            )
-            for t in product((0, 1), repeat=len(p.group.identity) - len(base))
-            for e in range(2 if frobenius else 1)
-        }
-        self.sigma = p.cocycle.sigma_exp if frobenius else None
-
-    def covers(self, elements) -> bool:
-        hull = zip(zip(*elements), self.base, self.top)
-        return all(a <= min(x) and max(x) <= b for x, a, b in hull)
-
-    def translates(self, elements):
-        """The packed rows of _translates(p, elements), all in the box."""
-        rows, sigma, free = self.rows, self.sigma, len(self.base)
-        strides = self.root.bits.strides[:free]
-        zero = sum(map(mul, self.base, strides))
-        for g in sorted(elements, reverse=True):
-            s = sum(map(mul, g, strides)) - zero
-            for x in rows[g[free:], sigma(g) % 2 if sigma else 0]:
-                yield x << s if type(x) is int else (x[0] << s, x[1] << s)
+    free = columns[:1 if isinstance(group, ZCrossZ2) else group.dim]
+    return _Packer(p, BitEchelon(p.field, root), (tuple(map(min, free)), tuple(map(max, free))))
 
 
 def _trajectory_dims(p: SubshiftPresentation, windows, largest):
@@ -135,17 +95,20 @@ def _trajectory_dims(p: SubshiftPresentation, windows, largest):
     window's new elements (exact: the rank depends only on the row space);
     a window not containing the previous one restarts from an empty echelon.
 
-    The rows are _BoxRows shifts in the box of largest(), the largest
-    window, where _box_rows grants that box, else a _Packer's.  A window
-    outside the box restarts the echelon in a box of its own, so no row
-    ever wraps."""
-    box, rows, prev = _box_rows(p, largest), None, frozenset()
+    The rows come from one _Packer, the box packer of largest(), the
+    largest window, where _box_rows grants that box, else the table
+    packer.  A window whose new elements leave the box restarts the
+    echelon in a packer of its own, so no row ever wraps."""
+
+    def packer(window):
+        return _box_rows(p, window) or _Packer(p, rank_echelon(p.field))
+
+    rows, ech, prev = packer(largest), None, frozenset()
     for n, F in windows:
         new = F.elements - prev
-        if box and not box.covers(new):
-            box, rows = _box_rows(p, lambda: F), None
-        if rows is None or not prev <= F.elements:
-            rows = box or _Packer(p, rank_echelon(p.field))
+        if not rows.covers(new):
+            rows, ech = packer(lambda: F), None
+        if ech is None or not prev <= F.elements:
             ech, new = rows.root.sibling(), F.elements
         for x in rows.translates(new):
             ech.add(x)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, count, islice, repeat
+from operator import mul
 
 from .crossed_product import (
     _add_term,
@@ -128,8 +129,8 @@ def _check_same_ambient(M: SubshiftPresentation, N: SubshiftPresentation):
 
 def _translates(p: SubshiftPresentation, elements):
     """act(g, v) for g in elements, descending, and v a generator; the
-    descending scan keeps fill-in low for shift-structured inputs.  _Packer
-    and entropy._BoxRows yield the same rows, packed."""
+    descending scan keeps fill-in low for shift-structured inputs.  A
+    _Packer yields the same rows, packed."""
     c = p.cocycle
     for g in sorted(elements, reverse=True):
         for v in p.generators:
@@ -138,42 +139,66 @@ def _translates(p: SubshiftPresentation, elements):
 
 class _Packer:
     """The packed rows of _translates(p, gs) on the table of root, as
-    rows(gs) for gs in descending order.  On the bit kernel with rho
-    identically 1, act(g, v) has the coefficients of act(g', v), in v's term
-    order, wherever sigma's exponents at g and g' agree modulo the
-    automorphism's order: act runs once per generator and exponent class,
-    and each g only numbers its labels (g h, j) on the table and ORs in
-    their plane bits, which is root.pack(act(g, v)) bit for bit.  Else each
-    row is root.pack(act(g, v))."""
+    rows(gs) for gs in descending order, root.pack(act(g, v)) bit for bit.
+    On the bit kernel with rho identically 1, act(g, v) has the
+    coefficients of act(g', v), in v's term order, wherever sigma's
+    exponents at g and g' agree modulo the automorphism's order: act runs
+    once per generator and exponent class.  With a hull (base, top) of the
+    windows in the free coordinates, root on the groups.BoxBits granted for
+    it, each v is packed once per torsion bits t and exponent class at
+    b = base + t, and shifted left by the offset of g from b (Kronecker
+    substitution, von zur Gathen and Gerhard, Modern Computer Algebra,
+    8.4); else each g numbers its labels (g h, j) on the table and ORs in
+    their plane bits.  Off the bit kernel, or for a caller-supplied rho,
+    each row is root.pack(act(g, v))."""
 
-    __slots__ = ("p", "root", "rows")
+    __slots__ = ("p", "root", "hull", "rows")
 
-    def __init__(self, p: SubshiftPresentation, root):
-        self.p, self.root, c = p, root, p.cocycle
+    def __init__(self, p: SubshiftPresentation, root, hull=None):
+        self.p, self.root, self.hull, c = p, root, hull, p.cocycle
         if not isinstance(root, BitEchelon) or c.rho is not None:
             self.rows = lambda gs: [root.pack(x) for x in _translates(p, gs)]
             return
-        mul, order, classes = p.group.mul, p.field.auto_order, {}
+        group_mul, order, classes = p.group.mul, p.field.auto_order, {}
+        sigma = c.sigma_exp if c.frobenius else None
 
         def move(g, label):
             h, j = label
-            return mul(g, h), j
+            return group_mul(g, h), j
 
-        def terms(g):
-            """Each generator with the _planes of its coefficients in act(g, v)."""
-            e = c.sigma_exp(g) % order
+        def terms(g, e):
+            """Each generator with the _planes of its coefficients in
+            act(g, v), for e sigma's exponent at g modulo its order."""
             if (found := classes.get(e)) is None:
                 found = classes[e] = [(v, _planes(act(g, v, c).values())) for v in p.generators]
             return found
 
-        def rows(gs):
-            if c.frobenius:
-                return root.pack_moved([(g, terms(g)) for g in gs], move)
-            return root.pack_moved(zip(gs, repeat(terms(p.group.identity))), move)
+        if hull is None:
+            def rows(gs):
+                if sigma:
+                    return root.pack_moved([(g, terms(g, sigma(g) % order)) for g in gs], move)
+                return root.pack_moved(zip(gs, repeat(terms(p.group.identity, 0))), move)
+        else:
+            base, based, free = hull[0], {}, len(hull[0])  # based: (t, e) -> rows at b
 
+            def rows(gs):
+                strides = root.bits.strides[:free]
+                zero = sum(map(mul, base, strides))
+                for g in gs:
+                    key = g[free:], sigma(g) % order if sigma else 0
+                    if (found := based.get(key)) is None:
+                        found = based[key] = root.pack_moved([(base + key[0], terms(g, key[1]))], move)
+                    s = sum(map(mul, g, strides)) - zero
+                    for x in found:
+                        yield x << s if type(x) is int else (x[0] << s, x[1] << s)
         self.rows = rows
 
-    def translates(self, elements) -> list:
+    def covers(self, elements) -> bool:
+        """Whether the elements lie in the hull; always without one."""
+        hull = zip(zip(*elements), *self.hull) if self.hull else ()
+        return all(a <= min(x) and max(x) <= b for x, a, b in hull)
+
+    def translates(self, elements):
         """The packed rows of _translates(p, elements)."""
         return self.rows(sorted(elements, reverse=True))
 

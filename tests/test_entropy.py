@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entrolen.crossed_product import parse_element, trivial_cocycle
 from entrolen.entropy import (
@@ -531,6 +532,49 @@ def test_window_outside_the_box_restarts_in_a_box_that_covers_it(monkeypatch):
         trajectory_echelon(wide, scheme.set_at(n)).dim for n in range(1, 5)
     ]
     assert asked == [scheme.set_at(4), scheme.set_at(3)]
+
+
+@st.composite
+def _drawn_presentations(draw):
+    """A presentation on Z, Z^2 or ZxZ2 over GF(2), GF(3), GF(4) or GF(4)
+    with the Frobenius twist, at rank 1-2, with 1-3 generators of 1-3 terms
+    at offsets up to 10 from the identity, and a window count n_max."""
+    from entrolen.crossed_product import CocycleData
+    from entrolen.exact_linalg import QuadraticField
+
+    group = draw(st.sampled_from((Z, FreeAbelian(2), ZZ2)))
+    GF4 = QuadraticField(2)
+    field, frobenius = draw(st.sampled_from(((GF2, False), (GF3, False), (GF4, False), (GF4, True))))
+    rank = draw(st.integers(1, 2))
+    offsets = st.integers(-10, 10)
+    element = st.tuples(offsets, st.integers(0, 1)) if group == ZZ2 else st.tuples(
+        *(offsets for _ in group.identity))
+    term = st.tuples(st.tuples(element, st.integers(0, rank - 1)),
+                     st.sampled_from(field.elements()[1:]))
+    gens = draw(st.lists(st.lists(term, min_size=1, max_size=3).map(dict), min_size=1, max_size=3))
+    p = SubshiftPresentation(CocycleData(field, group, frobenius), rank, gens)
+    return p, draw(st.integers(1, 4))
+
+
+@settings(deadline=None)
+@given(_drawn_presentations())
+def test_estimate_rows_agree_with_the_table_packer_and_the_dict_kernel(case):
+    """Three routes to dim T_{F_n} agree on drawn presentations: estimate's
+    rows (box shifts where _box_rows grants a box), the rows with every box
+    refused (the table packer), and the dims of trajectory_echelon, the
+    dict kernel on act's vectors."""
+    from entrolen import entropy
+    from entrolen.folner import default_scheme
+
+    p, n_max = case
+    scheme = default_scheme(p.group)
+    rows = estimate(p, scheme, n_max).rows
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(entropy, "_box_rows", lambda p, window: None)
+        assert estimate(p, scheme, n_max).rows == rows
+    assert [r.dim for r in rows] == [
+        trajectory_echelon(p, scheme.set_at(n)).dim for n in range(1, n_max + 1)
+    ]
 
 
 def test_certified_tile_ratios_equal_per_tile_trajectories():

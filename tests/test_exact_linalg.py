@@ -379,37 +379,18 @@ def test_int_kernels_match_dict_echelon(group, field):
     [FreeAbelian(1), FreeAbelian(2), FreeAbelian(3), ZCrossZ2()],
     ids=lambda g: g.name,
 )
-def test_box_shifts_equal_packed_act(group, field):
-    """Seeded: each translate that entropy._BoxRows yields as a bit shift
-    equals pack(act(g, v)) through the same BoxBits table, for every g in
-    ball(R), negative coordinates included, ranks 1-3, generators with
-    negative coordinates, and over GF(4) with the Frobenius twist too."""
-    from entrolen.crossed_product import act, frobenius_cocycle, trivial_cocycle
-    from entrolen.entropy import _box_rows
-    from entrolen.folner import default_scheme
-    from entrolen.shift_modules import SubshiftPresentation
+def test_box_shifts_equal_packed_act(monkeypatch, group, field):
+    """The box packer's translates are pack(act(g, v)) on its own BoxBits,
+    for every g in ball(3), negative coordinates included, and over GF(4)
+    with the Frobenius twist too: the box inputs of the one packer test."""
+    from entrolen.crossed_product import frobenius_cocycle, trivial_cocycle
+    from test_shifts import test_packer_rows_equal_act_and_pack
 
-    rng = random.Random(f"box:{group.name}:{field.name}")
     cocycles = [trivial_cocycle(field, group)]
     if field == GF4:
         cocycles.append(frobenius_cocycle(field, group))
-    hull = default_scheme(group).set_at(3)  # the box around ball(3)
-    support = ball(group, 2).sorted_elements()
     for cocycle in cocycles:
-        for rank in (1, 2, 3):
-            gens = [
-                {(g, rng.randrange(rank)): _nonzero(rng, field)
-                 for g in rng.sample(support, rng.randint(1, 4))}
-                for _ in range(rng.randint(1, 3))
-            ]
-            p = SubshiftPresentation(cocycle, rank, gens)
-            box = _box_rows(p, lambda: hull)
-            assert box is not None
-            assert box.covers(hull.elements)
-            for g in ball(group, 3).sorted_elements():
-                assert list(box.translates({g})) == [
-                    box.root.pack(act(g, v, cocycle)) for v in p.generators
-                ]
+        test_packer_rows_equal_act_and_pack(monkeypatch, cocycle, box=True)
 
 
 def test_box_bits_are_the_label_order():

@@ -162,10 +162,10 @@ def _coefficient(rng, field):
     return rng.randrange(1, len(field.elements()))
 
 
-def _random_presentation(rng, cocycle, rank):
-    """One to three generators on the radius-1 ball with random nonzero
-    coefficients (over Q: 1, -1 or 2/3)."""
-    field, support = cocycle.field, ball(cocycle.group, 1).sorted_elements()
+def _random_presentation(rng, cocycle, rank, radius=1):
+    """One to three generators on the ball of this radius with random
+    nonzero coefficients (over Q: 1, -1 or 2/3)."""
+    field, support = cocycle.field, ball(cocycle.group, radius).sorted_elements()
     labels = [(g, j) for g in support for j in range(rank)]
     gens = []
     for _ in range(rng.randint(1, 3)):
@@ -280,27 +280,47 @@ _PACKER_COCYCLES = [
 
 
 @pytest.mark.parametrize("cocycle", _PACKER_COCYCLES, ids=repr)
-def test_packer_rows_equal_act_and_pack(cocycle):
+def test_packer_rows_equal_act_and_pack(monkeypatch, cocycle, box=False):
     """For every g of a window, all at once in the descending scan, then
     one at a time in a random order, a _Packer's rows are
-    root.pack(act(g, v, c)) bit for bit at ranks 1 and 2, and its table
-    ends with the same labels in the same order as the table of those
-    packs: on the bit kernel, plain and Frobenius, where each g only
-    numbers its labels, and for a caller-supplied rho, which keeps act +
-    pack."""
+    root.pack(act(g, v, c)) bit for bit: on the bit kernel, plain and
+    Frobenius, and for a caller-supplied rho, which keeps act + pack, at
+    ranks 1 and 2 on a table packer, whose table ends with the same labels
+    in the same order as the table of those packs.  With box set (the
+    inputs of test_exact_linalg.test_box_shifts_equal_packed_act), the
+    packer is the box packer that entropy._box_rows grants around ball(3),
+    at ranks 1-3 with generator terms on ball(2), and the rows are packed
+    on its own groups.BoxBits.  Without a rho the packer calls act once per
+    generator and sigma exponent class."""
+    from entrolen.entropy import _box_rows
+    from entrolen.folner import default_scheme
+
+    calls = []
+    monkeypatch.setattr(shift_modules, "act", lambda g, v, c: calls.append(g) or act(g, v, c))
     rng = random.Random(53)
-    window = ball(cocycle.group, 3).sorted_elements()[::-1]
-    for rank in (1, 2):
-        p = _random_presentation(rng, cocycle, rank)
-        packer, reference = _Packer(p, rank_echelon(cocycle.field)), rank_echelon(cocycle.field)
+    group, order = cocycle.group, cocycle.field.auto_order
+    window = ball(group, 3).sorted_elements()[::-1]
+    for rank in (1, 2, 3) if box else (1, 2):
+        p = _random_presentation(rng, cocycle, rank, 2 if box else 1)
+        if box:
+            packer = _box_rows(p, lambda: default_scheme(group).set_at(3))
+            reference = packer.root
+            assert packer.covers(window)
+        else:
+            packer, reference = _Packer(p, rank_echelon(cocycle.field)), rank_echelon(cocycle.field)
+        calls.clear()
 
         def packed(gs):
             return [reference.pack(act(g, v, cocycle)) for g in gs for v in p.generators]
 
-        assert packer.rows(window) == packed(window)
+        assert list(packer.rows(window)) == packed(window)
         for g in rng.sample(window, len(window)):
-            assert packer.rows([g]) == packed([g])
-        assert list(packer.root.bits) == list(reference.bits)
+            assert list(packer.rows([g])) == packed([g])
+        if cocycle.rho is None:
+            classes = {cocycle.sigma_exp(g) % order for g in window}
+            assert len(calls) == len(p.generators) * len(classes)
+        if not box:
+            assert list(packer.root.bits) == list(reference.bits)
 
 
 def _shell_case(cocycle, *windows):
