@@ -3,15 +3,13 @@ output.
 
 Exit codes: 0 success, 2 validation error (bad flags, malformed files),
 3 budget exhaustion or heuristic failure with partial output written.
-Flags override values from an optional key=value config file; the env
-var ENTROLEN_SEED overrides --seed, the sampling seed of validate-cocycle.
+Flags override values from an optional key=value config file.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 from bisect import bisect_right
 from fractions import Fraction
@@ -232,17 +230,10 @@ class RunConfig:
         merged: dict = {}
         if ns.config:
             merged.update(_load_config_file(ns.config, ns.command))
-        options = _command_options(ns.command)
-        for key in options:
+        for key in _command_options(ns.command):
             flag = getattr(ns, key)
             if flag is not None:
                 merged[key] = flag
-        env_seed = os.environ.get("ENTROLEN_SEED")
-        if env_seed is not None and "seed" in options:
-            try:
-                merged["seed"] = int(env_seed)
-            except ValueError:
-                raise CliError(f"bad ENTROLEN_SEED {env_seed!r}") from None
         self.values = merged
 
     def get(self, key, default=None):

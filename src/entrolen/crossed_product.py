@@ -41,6 +41,7 @@ class CrossedElement:
         cleaned = {}
         for g, c in terms.items():
             group.check(g)
+            field.check(c)
             if c:
                 cleaned[g] = c
         self.field = field

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import islice
 
 from .crossed_product import CrossedElement, find_annihilator
-from .exact_linalg import _ROW_FORMATS, BitEchelon, rank_echelon
+from .exact_linalg import _ROW_FORMATS, BitEchelon, Echelon, rank_echelon
 from .folner import nested_sets
 from .groups import box, FreeAbelian, ZCrossZ2
 from .shift_modules import (
@@ -199,7 +199,7 @@ def certified_upper_bound(
     checked_from = max(indices)
     for n in range(checked_from, n_check + 1):
         greedy_quasi_tile(scheme.set_at(n), tiles, eps)
-    coeff_dim = p.coefficient_span().dim
+    coeff_dim = Echelon(p.field, p.generators).dim
     dims = _trajectory_dims(p, zip(indices, tiles), lambda: tiles[-1])
     ratios = [Fraction(dim, size) for _, size, dim in dims]
     bound = ow_upper_bound(coeff_dim, eps, ratios)
@@ -207,20 +207,8 @@ def certified_upper_bound(
 
 
 @dataclass(frozen=True)
-class AdditionWindow:
-    n: int
-    folner_size: int
-    dim_total: int
-    dim_sub: int
-    dim_intersection: int
-    dim_image: int
-    lower_bound_ok: bool
-    stabilized: bool
-
-
-@dataclass(frozen=True)
 class AdditionReport:
-    windows: tuple
+    windows: tuple  # (n, |F_n|, SesDims) of each window
     e_total: Fraction
     e_sub: Fraction
     e_quotient: Fraction
@@ -257,39 +245,27 @@ def addition_check(
     tol = Fraction(tol)
     if tol < 0:
         raise ValueError("tol must be >= 0")
-    coeff_M = M.coefficient_span()
-    gens_inside = all(coeff_M.contains(w) for w in N.generators)
-    windows = []
+    coeff = Echelon(M.field, M.generators)
+    gens_inside = all(not coeff.reduce(w) for w in N.generators)
     splits = _splits(M, N, scheme, n_max, approx)
-    for n, size, s in splits:
-        lower_bound_ok = s.dim_total >= s.dim_window_meet + s.dim_image
-        if gens_inside:
-            lower_bound_ok = lower_bound_ok and s.dim_total >= s.dim_sub + s.dim_image
-        windows.append(
-            AdditionWindow(
-                n,
-                size,
-                s.dim_total,
-                s.dim_sub,
-                s.dim_intersection,
-                s.dim_image,
-                lower_bound_ok,
-                s.stabilized,
-            )
-        )
-    last = windows[-1]
-    e_total = Fraction(last.dim_total, last.folner_size)
-    e_sub = Fraction(last.dim_sub, last.folner_size)
-    e_quotient = Fraction(last.dim_image, last.folner_size)
+    lower_bound_ok_all = all(
+        s.dim_total >= s.dim_window_meet + s.dim_image
+        and (not gens_inside or s.dim_total >= s.dim_sub + s.dim_image)
+        for _, _, s in splits
+    )
+    _, size, last = splits[-1]
+    e_total = Fraction(last.dim_total, size)
+    e_sub = Fraction(last.dim_sub, size)
+    e_quotient = Fraction(last.dim_image, size)
     discrepancy = e_total - e_sub - e_quotient
     return AdditionReport(
-        tuple(windows),
+        tuple(splits),
         e_total,
         e_sub,
         e_quotient,
         discrepancy,
         tol,
-        all(w.lower_bound_ok for w in windows),
+        lower_bound_ok_all,
         _exhausted(splits),
         abs(discrepancy) <= tol,
     )

@@ -12,9 +12,10 @@ of _RANK_ROWS in the dict Echelon.  In both echelons add eliminates at
 the pivot end only; they back-substitute on different policies, each the
 faster one measured on its workloads (see the two classes).
 
-Column labels may be any mutually orderable hashable values.  Subspaces
-expose the reduced row echelon basis, which is unique for a given row
-space, so dimensions, bases and intersections do not depend on the order
+Column labels may be any mutually orderable hashable values.  The dict
+Echelon is the one subspace type, and its rref(), the reduced row echelon
+basis, serves every reader of rows: it is unique for a given row space,
+so dimensions, bases and intersections do not depend on the order
 spanning vectors arrive in.
 """
 
@@ -89,6 +90,10 @@ class PrimeField:
         if x == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(x, self.p - 2, self.p)
+
+    def check(self, c):
+        if not (isinstance(c, int) and c in self.elements()):
+            raise ValueError(f"not an element of {self.name}: {c!r}")
 
     def submul(self, a, b, c):
         """a - b*c, the fused row-operation kernel."""
@@ -176,6 +181,8 @@ class QuadraticField:
         c1 = (cross - sq * self._mod_a) % p
         return c0 + c1 * p
 
+    check = PrimeField.check
+
     def submul(self, a, b, c):
         return self.sub(a, self.mul(b, c))
 
@@ -248,6 +255,10 @@ class RationalField:
         if not x:
             raise ZeroDivisionError("inverse of zero")
         return 1 / x
+
+    def check(self, c):
+        if not isinstance(c, Fraction):
+            raise ValueError(f"not an element of {self.name}: {c!r}")
 
     def submul(self, a, b, c):
         return a - b * c
@@ -587,76 +598,25 @@ def rank_echelon(field):
     return Echelon(field, row_format=_RANK_ROWS.get(field, _FIELD_ROWS))
 
 
-class Subspace:
-    """Immutable subspace with the canonical reduced echelon basis."""
-
-    __slots__ = ("field", "rows")
-
-    def __init__(self, field, rows: dict):
-        self.field = field
-        self.rows = rows
-
-    @classmethod
-    def from_echelon(cls, ech: Echelon) -> "Subspace":
-        return cls(ech.field, ech.rref())
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def basis_rows(self):
-        """Rows sorted by pivot; pivot columns are strictly increasing."""
-        return [dict(self.rows[p]) for p in sorted(self.rows)]
-
-    def contains(self, vec: dict) -> bool:
-        return not _reduce(self.rows, self.field, vec)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Subspace)
-            and self.field == other.field
-            and self.rows == other.rows
-        )
-
-    def __hash__(self):
-        return hash((self.field, tuple(sorted(self.rows))))
-
-    def __repr__(self):
-        return f"Subspace(dim={self.dim}, field={self.field.name})"
-
-
-def _same_field(U: Subspace, V: Subspace):
-    if U.field != V.field:
-        raise ValueError(f"field mismatch: {U.field.name} vs {V.field.name}")
-
-
-def _descending(rows: dict) -> list:
-    """Echelon rows by descending pivot, the scan order used throughout."""
-    return [rows[piv] for piv in sorted(rows, reverse=True)]
-
-
-def span(field, vectors) -> Subspace:
-    """Subspace spanned by sparse vectors (dicts label -> coefficient)."""
-    return Subspace.from_echelon(Echelon(field, vectors))
-
-
-def intersect(U: Subspace, V: Subspace) -> Subspace:
-    """U meet V by the Zassenhaus block trick.
+def intersect(U: Echelon, V: Echelon) -> Echelon:
+    """The echelon of U meet V, in their row format, by the Zassenhaus
+    block trick.
 
     Rows (u, u) for U and then (v, 0) for V are echelonized over tagged
     labels with every tag-0 label ordered before every tag-1 label.  The
     rows whose pivot carries tag 1 are supported entirely on the tag-1
     block and their untagged images form a basis of the intersection.
     """
-    _same_field(U, V)
+    if U.field != V.field or U.row_format != V.row_format:
+        raise ValueError(f"field or row format mismatch: {U.field.name} vs {V.field.name}")
     tagged = [
         {(t, l): v for l, v in row.items() for t in (0, 1)}
-        for row in _descending(U.rows)
-    ] + [{(0, l): v for l, v in row.items()} for row in _descending(V.rows)]
-    ech = Echelon(U.field, tagged)
+        for row in U.rref().values()
+    ] + [{(0, l): v for l, v in row.items()} for row in V.rref().values()]
+    ech = Echelon(U.field, tagged, U.row_format)
     tag_1 = (
         {l: v for (_, l), v in row.items()}
         for piv, row in ech.rows.items()
         if piv[0] == 1
     )
-    return Subspace.from_echelon(Echelon(U.field, tag_1))
+    return Echelon(U.field, tag_1, U.row_format)

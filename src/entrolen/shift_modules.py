@@ -25,7 +25,7 @@ from .crossed_product import (
     CrossedElement,
 )
 from .exact_linalg import (
-    _planes, BitEchelon, Echelon, field_from_name, rank_echelon, span, Subspace,
+    _planes, BitEchelon, Echelon, field_from_name, rank_echelon,
 )
 from .groups import (
     FiniteSubset,
@@ -61,11 +61,12 @@ class SubshiftPresentation:
         if rank < 1:
             raise ValueError("rank must be >= 1")
         gens = []
-        group = cocycle.group
+        group, field = cocycle.group, cocycle.field
         for vec in generators:
             cleaned = {}
             for (g, j), c in vec.items():
                 group.check(g)
+                field.check(c)
                 if not isinstance(j, int) or not (0 <= j < rank):
                     raise ValueError(f"coordinate {j!r} outside 0..{rank - 1}")
                 if c:
@@ -98,10 +99,6 @@ class SubshiftPresentation:
             f"SubshiftPresentation({self.field.name}[{self.group.name}]^"
             f"{self.rank}, {len(self.generators)} generators)"
         )
-
-    def coefficient_span(self) -> Subspace:
-        """Span of the generators themselves (the window at the identity)."""
-        return span(self.field, self.generators)
 
 
 def bernoulli(cocycle: CocycleData, rank: int) -> SubshiftPresentation:

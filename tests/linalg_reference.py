@@ -1,17 +1,18 @@
 """Dimension formulas and a dense Gauss-Jordan oracle that only the tests
 use; the formulas run on the dict Echelon, the oracle on none of it."""
 
-from entrolen.exact_linalg import _descending, _same_field, Echelon, Subspace
+from entrolen.exact_linalg import Echelon
 
 
 def span_dim(field, vectors) -> int:
     return Echelon(field, vectors).dim
 
 
-def quotient_dim(U: Subspace, W: Subspace) -> int:
-    """dim((U + W) / W) = dim(U + W) - dim(W)."""
-    _same_field(U, W)
-    return Echelon(U.field, _descending(W.rows) + _descending(U.rows)).dim - W.dim
+def quotient_dim(U: Echelon, W: Echelon) -> int:
+    """dim((U + W) / W) = dim(U + W) - dim(W), for echelons of one field."""
+    if U.field != W.field:
+        raise ValueError(f"field mismatch: {U.field.name} vs {W.field.name}")
+    return Echelon(U.field, [*W.rref().values(), *U.rref().values()]).dim - W.dim
 
 
 def gauss_jordan(field, vectors) -> dict:

@@ -28,7 +28,7 @@ from entrolen.entropy import (
     integrality_report,
     zero_divisor_scan,
 )
-from entrolen.exact_linalg import intersect, PrimeField, QuadraticField, span
+from entrolen.exact_linalg import Echelon, intersect, PrimeField, QuadraticField
 from entrolen.folner import boundary_ratio, Boxes, BoxTimesZ2
 from entrolen.groups import (
     ball,
@@ -123,7 +123,7 @@ def test_criterion_03_additivity_suite():
         rep = addition_check(M, N, scheme, 30, Fraction(1, 20))
         case_ok = (
             abs(rep.discrepancy) <= Fraction(1, 20)
-            and all(w.dim_total == w.dim_intersection + w.dim_image for w in rep.windows)
+            and all(w.dim_total == w.dim_intersection + w.dim_image for _, _, w in rep.windows)
             and rep.lower_bound_ok_all
             and rep.all_stabilized
         )
@@ -288,9 +288,9 @@ def _property_modular_identity(rng):
                 vecs.append(vec)
             return vecs
 
-        U = span(field, rand_vecs())
-        V = span(field, rand_vecs())
-        U_plus_V = span(field, U.basis_rows() + V.basis_rows())
+        U = Echelon(field, rand_vecs())
+        V = Echelon(field, rand_vecs())
+        U_plus_V = Echelon(field, [*U.rref().values(), *V.rref().values()])
         assert U.dim + V.dim == U_plus_V.dim + intersect(U, V).dim
         count += 1
     return count
@@ -353,9 +353,9 @@ def _property_lambda_composition(rng):
         g = _sample_element(rng, group)
         h = _sample_element(rng, group)
         gh = group.mul(g, h)
-        assert span(field, [act(g, act(h, v, c), c) for v in vecs]) == span(
+        assert Echelon(field, [act(g, act(h, v, c), c) for v in vecs]).rref() == Echelon(
             field, [act(gh, v, c) for v in vecs]
-        )
+        ).rref()
         count += 1
     return count
 

@@ -507,6 +507,14 @@ def test_readme_presentation_example_parses():
     assert pres.rank == 1 and len(pres.generators) == 1
 
 
+def test_readme_python_api_example_runs(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    _, _, rest = readme.partition("## Python API\n")
+    _, _, rest = rest.partition("```python\n")
+    exec(rest.partition("```")[0], {})
+    assert capsys.readouterr().out == "1\n"
+
+
 @pytest.mark.parametrize(
     "command, options, message",
     [
@@ -639,18 +647,20 @@ def test_outputs_are_deterministic(tmp_path, capsys):
     assert not out1.read_bytes().endswith(b"\n\n")
 
 
-def test_env_seed_override(capsys, monkeypatch):
-    monkeypatch.setenv("ENTROLEN_SEED", "12345")
-    code, out, _ = run_cli(
-        capsys, "validate-cocycle", "--field", "gf2", "--group", "Z",
-    )
-    assert code == 0
-    assert "result=pass" in out
-    monkeypatch.setenv("ENTROLEN_SEED", "not-a-number")
-    code, _, err = run_cli(
-        capsys, "validate-cocycle", "--field", "gf2", "--group", "Z",
-    )
-    assert code == 2
+def test_env_seed_does_not_reach_the_cli(capsys, monkeypatch):
+    """ENTROLEN_SEED seeds the tests' own sweeps only: a command's exit
+    code and output are the same with it set, even to garbage, as without
+    it, whether or not the command takes --seed."""
+    for args in (
+        ("validate-cocycle", "--field", "gf2", "--group", "Z"),
+        ("folner-ratios", "--group", "Z", "--nmax", "2"),
+    ):
+        monkeypatch.delenv("ENTROLEN_SEED", raising=False)
+        expected = run_cli(capsys, *args)
+        assert expected[0] == 0
+        for value in ("12345", "not-a-number"):
+            monkeypatch.setenv("ENTROLEN_SEED", value)
+            assert run_cli(capsys, *args) == expected
 
 
 def test_csv_ratio_parses_back_exactly(capsys):
@@ -788,13 +798,6 @@ def test_flags_a_command_never_reads_are_rejected(tmp_path, capsys, command, key
     assert code == 2
     assert out == ""
     assert "unknown key" in err
-
-
-def test_env_seed_ignored_by_commands_without_seed(capsys, monkeypatch):
-    monkeypatch.setenv("ENTROLEN_SEED", "not-a-number")
-    code, out, _ = run_cli(capsys, "folner-ratios", "--group", "Z", "--nmax", "2")
-    assert code == 0
-    assert out.splitlines()[2] == "2,5,4,4/5"
 
 
 def test_addition_check_nmax_zero_exit_2(capsys):

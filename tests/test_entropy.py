@@ -116,7 +116,7 @@ def test_addition_check_polynomial_pair():
     assert rep.e_total == 1 and rep.e_sub == 1
     assert rep.e_quotient == Fraction(1, 21)
     assert rep.discrepancy == -Fraction(1, 21)
-    for w in rep.windows:
+    for _, _, w in rep.windows:
         assert w.dim_total == w.dim_intersection + w.dim_image
 
 
@@ -302,7 +302,7 @@ def test_addition_check_window_dims_match_rebuilt_windows():
     dim(T_F(M) meet T_E(N)), E = ball(steps) * F, read from the quotient
     split, equal the trajectories rebuilt and intersected from scratch."""
     from entrolen.crossed_product import frobenius_cocycle
-    from entrolen.exact_linalg import intersect, QuadraticField, RationalField, Subspace
+    from entrolen.exact_linalg import intersect, QuadraticField, RationalField
     from entrolen.folner import default_scheme
     from entrolen.groups import ball, Heisenberg
     from entrolen.shift_modules import _quotient_split
@@ -323,18 +323,14 @@ def test_addition_check_window_dims_match_rebuilt_windows():
             M = _random_presentation(rng, cocycle, rank, support)
             N = _random_presentation(rng, cocycle, rank, support)
             rep = addition_check(M, N, scheme, n_max, Fraction(1))
-            for w in rep.windows:
-                F = scheme.set_at(w.n)
+            for n, _, w in rep.windows:
+                F = scheme.set_at(n)
                 assert w.dim_sub == trajectory_echelon(N, F).dim
-                T = Subspace.from_echelon(trajectory_echelon(M, F))
+                T = trajectory_echelon(M, F)
                 split = _quotient_split(M, N, F)
-                assert split.dim_window_meet == intersect(
-                    T, Subspace.from_echelon(trajectory_echelon(N, F))
-                ).dim
+                assert split.dim_window_meet == intersect(T, trajectory_echelon(N, F)).dim
                 E = set_product(ball(cocycle.group, split.steps), F)
-                assert split.dim_intersection == intersect(
-                    T, Subspace.from_echelon(trajectory_echelon(N, E))
-                ).dim
+                assert split.dim_intersection == intersect(T, trajectory_echelon(N, E)).dim
                 windows += 1
     assert windows == 4 * (2 + 3 + 3 + 1)
 

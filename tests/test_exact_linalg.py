@@ -17,8 +17,6 @@ from entrolen.exact_linalg import (
     QuadraticField,
     RationalField,
     rank_echelon,
-    span,
-    Subspace,
 )
 from entrolen.groups import ball, FreeAbelian, Heisenberg, ZCrossZ2
 
@@ -156,28 +154,28 @@ def test_span_examples():
 
 
 def test_membership_examples():
-    V = span(GF2, [{0: 1, 1: 1}])
-    U = span(GF2, [{0: 1}, {1: 1}])
-    assert V.contains({})
-    assert U.contains({0: 1, 1: 1})
-    assert not V.contains({0: 1})
+    V = Echelon(GF2, [{0: 1, 1: 1}])
+    U = Echelon(GF2, [{0: 1}, {1: 1}])
+    assert not V.reduce({})
+    assert not U.reduce({0: 1, 1: 1})
+    assert V.reduce({0: 1})
 
 
 def test_intersect_examples():
-    U = span(QQ, [{0: Fraction(1)}, {1: Fraction(1)}])
-    V = span(QQ, [{0: Fraction(1), 1: Fraction(1)}])
+    U = Echelon(QQ, [{0: Fraction(1)}, {1: Fraction(1)}])
+    V = Echelon(QQ, [{0: Fraction(1), 1: Fraction(1)}])
     assert intersect(U, V).dim == 1
-    L1 = span(QQ, [{0: Fraction(1)}])
-    L2 = span(QQ, [{1: Fraction(1)}])
+    L1 = Echelon(QQ, [{0: Fraction(1)}])
+    L2 = Echelon(QQ, [{1: Fraction(1)}])
     assert intersect(L1, L2).dim == 0
 
 
 def test_quotient_dim_examples():
-    U = span(GF3, [{0: 1}, {1: 1}])
-    W = span(GF3, [{0: 1, 1: 1}])
+    U = Echelon(GF3, [{0: 1}, {1: 1}])
+    W = Echelon(GF3, [{0: 1, 1: 1}])
     assert quotient_dim(U, W) == 1
     assert quotient_dim(W, U) == 0  # W inside U
-    zero = span(GF3, [])
+    zero = Echelon(GF3)
     assert quotient_dim(U, zero) == 2
     # both formulas agree
     assert quotient_dim(U, W) == U.dim - intersect(U, W).dim
@@ -196,13 +194,41 @@ def _random_vectors(rng, field, n_labels, count):
     return vecs
 
 
-def test_modular_identity_gf5():
-    rng = random.Random(7)
-    for _ in range(250):
-        U = span(GF5, _random_vectors(rng, GF5, 6, rng.randrange(1, 5)))
-        V = span(GF5, _random_vectors(rng, GF5, 6, rng.randrange(1, 5)))
-        U_plus_V = span(GF5, U.basis_rows() + V.basis_rows())
-        assert U.dim + V.dim == U_plus_V.dim + intersect(U, V).dim
+def _nonzero_coefficients(field):
+    if field == QQ:
+        return st.builds(Fraction, st.sampled_from([-3, -1, 1, 2, 5]), st.integers(1, 4))
+    return st.integers(1, len(field.elements()) - 1)
+
+
+def _integer_rows(field, vectors):
+    """The echelon of vectors on rank_echelon's primitive integer rows."""
+    ech = rank_echelon(field)
+    for vec in vectors:
+        ech.add(ech.pack(vec))
+    return ech
+
+
+@pytest.mark.parametrize(
+    "field, echelon",
+    [(f, Echelon) for f in FINITE_FIELDS + [QQ]] + [(QQ, _integer_rows)],
+    ids=[f.name for f in FINITE_FIELDS + [QQ]] + ["q-integer-rows"],
+)
+@given(data=st.data())
+def test_meet_against_gauss_jordan(field, echelon, data):
+    """dim(U meet V) = dim U + dim V - dim(U + V), all three from the dense
+    oracle, and every row of the meet is exact and lies in U and in V."""
+    vectors = st.lists(
+        st.dictionaries(st.integers(0, 5), _nonzero_coefficients(field), max_size=5),
+        max_size=5,
+    )
+    us, vs = data.draw(vectors), data.draw(vectors)
+    ref_U, ref_V = gauss_jordan(field, us), gauss_jordan(field, vs)
+    meet = intersect(echelon(field, us), echelon(field, vs))
+    assert meet.dim == len(ref_U) + len(ref_V) - len(gauss_jordan(field, us + vs))
+    for row in meet.rref().values():
+        assert not any(isinstance(v, float) for v in row.values())
+        assert not normal_form(field, ref_U, row)
+        assert not normal_form(field, ref_V, row)
 
 
 def test_intersection_against_enumeration_gf2():
@@ -210,7 +236,7 @@ def test_intersection_against_enumeration_gf2():
     rng = random.Random(3)
 
     def all_vectors(sub):
-        rows = sub.basis_rows()
+        rows = list(sub.rref().values())
         vecs = set()
         for coeffs in itertools.product([0, 1], repeat=len(rows)):
             acc = {}
@@ -226,8 +252,8 @@ def test_intersection_against_enumeration_gf2():
         return vecs
 
     for _ in range(60):
-        U = span(GF2, _random_vectors(rng, GF2, 4, rng.randrange(1, 4)))
-        V = span(GF2, _random_vectors(rng, GF2, 4, rng.randrange(1, 4)))
+        U = Echelon(GF2, _random_vectors(rng, GF2, 4, rng.randrange(1, 4)))
+        V = Echelon(GF2, _random_vectors(rng, GF2, 4, rng.randrange(1, 4)))
         meet = all_vectors(U) & all_vectors(V)
         assert len(meet) == 2 ** intersect(U, V).dim
         assert len(all_vectors(U)) == 2 ** U.dim
@@ -246,29 +272,28 @@ def test_echelon_determinism_under_permutation(vecs, rng):
     vecs = [{k: v % 5 for k, v in vec.items() if v % 5} for vec in vecs]
     shuffled = list(vecs)
     rng.shuffle(shuffled)
-    assert span(GF5, vecs) == span(GF5, shuffled)
-    assert span(GF5, vecs).basis_rows() == span(GF5, shuffled).basis_rows()
+    assert Echelon(GF5, vecs).rref() == Echelon(GF5, shuffled).rref()
 
 
 def test_subspace_basis_shape():
-    U = span(GF3, [{2: 1, 5: 2}, {2: 2, 5: 1}, {0: 1, 2: 1}])
-    pivots = sorted(U.rows)
-    assert list(pivots) == sorted(pivots)
-    for piv, row in zip(pivots, U.basis_rows()):
+    rref = Echelon(GF3, [{2: 1, 5: 2}, {2: 2, 5: 1}, {0: 1, 2: 1}]).rref()
+    for piv, row in rref.items():
         assert row[piv] == 1
         assert min(row) == piv
     # reduced: no pivot appears in another row
-    for piv in pivots:
-        for other in U.basis_rows():
+    for piv in rref:
+        for other in rref.values():
             if other.get(piv) and min(other) != piv:
                 raise AssertionError("not fully reduced")
 
 
 def test_field_mismatch_rejected():
-    U = span(GF2, [{0: 1}])
-    V = span(GF3, [{0: 1}])
+    U = Echelon(GF2, [{0: 1}])
+    V = Echelon(GF3, [{0: 1}])
     with pytest.raises(ValueError):
         intersect(U, V)
+    with pytest.raises(ValueError):  # one field, two row formats
+        intersect(Echelon(QQ), rank_echelon(QQ))
 
 
 def test_echelon_reduce_is_projection():
@@ -370,7 +395,7 @@ def test_int_kernels_match_dict_echelon(group, field):
         image = V.sibling()
         for vec in probes:
             image.add(V.reduce(image.pack(vec)))
-        assert image.dim == quotient_dim(span(field, probes), span(field, vecs[:cut]))
+        assert image.dim == quotient_dim(Echelon(field, probes), Echelon(field, vecs[:cut]))
 
 
 @pytest.mark.parametrize("field", [GF2, GF3, GF4], ids=lambda f: f.name)
@@ -469,7 +494,7 @@ def test_copy_leaves_the_original_unchanged(field):
             twin.copy()  # and the bit copy's
         twin.add(twin.pack(vecs[0]))
         assert state() == before
-        assert twin.dim == span(field, vecs).dim
+        assert twin.dim == Echelon(field, vecs).dim
         assert [ech.reduce(x) for x in probes] == forms
 
 
@@ -562,7 +587,7 @@ def test_rank_echelon_picks_the_kernel_by_field():
     assert row == {(0, 0): 5, (1, 0): -6}
     assert all(type(v) is int for v in row.values())
     assert ech.add(row) == (0, 0) and ech.rows == {(0, 0): row}
-    assert Echelon(QQ).pack(vec) is vec  # span, intersect and Subspace keep Fractions
+    assert Echelon(QQ).pack(vec) is vec  # field echelons and intersect keep Fractions
 
 
 def _rational(rng, digits=20):
@@ -625,7 +650,7 @@ def test_integer_rows_match_gauss_jordan_over_q():
 
 @pytest.mark.parametrize("field", [GF5, GF9, QQ], ids=lambda f: f.name)
 def test_dict_echelon_matches_gauss_jordan(field):
-    """add, reduce, rref and Subspace.contains against the dense oracle,
+    """add, reduce and rref against the dense oracle,
     with normal forms and reduced rows asked for between the inserts, so
     rows back-substituted once must be redone after the next add."""
     rng = random.Random(73)
@@ -662,7 +687,6 @@ def test_dict_echelon_matches_gauss_jordan(field):
             elif roll < 2 / 3:
                 for probe in probes(added):
                     assert ech.reduce(probe) == normal_form(field, ref, probe)
-        S = Subspace.from_echelon(ech)
-        assert S.rows == ref and S.dim == ech.dim
+        assert ech.rref() == ref and ech.dim == len(ref)
         for probe in probes(added):
-            assert S.contains(probe) == (not normal_form(field, ref, probe))
+            assert (not ech.reduce(probe)) == (not normal_form(field, ref, probe))

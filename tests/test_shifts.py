@@ -9,6 +9,7 @@ from entrolen import shift_modules
 from entrolen.crossed_product import (
     act,
     CocycleData,
+    CrossedElement,
     frobenius_cocycle,
     parse_element,
     trivial_cocycle,
@@ -19,8 +20,6 @@ from entrolen.exact_linalg import (
     QuadraticField,
     RationalField,
     rank_echelon,
-    span,
-    Subspace,
 )
 from entrolen.entropy import _splits
 from entrolen.folner import Boxes, BoxTimesZ2, WordBalls
@@ -94,6 +93,22 @@ def test_presentation_validation():
         SubshiftPresentation(CZ3, 1, [{((0,), 3): 1}])
     with pytest.raises(ValueError):
         cyclic_presentation(CZ3, parse_element(GF3, Z, "0"))
+
+
+@pytest.mark.parametrize(
+    "field, c",
+    [(GF3, 3), (PrimeField(5), 5), (QuadraticField(2), 4), (GF3, -1), (GF3, 1.0), (QQ, 1)],
+    ids=["gf3-3", "gf5-5", "gf4-4", "gf3-negative", "gf3-float", "q-int"],
+)
+def test_coefficients_must_be_field_elements(field, c):
+    """A coefficient that is not a canonical element of the field, such as
+    p over GF(p), which would read as a nonzero generator equal to 0, or an
+    int over Q, which would make the echelons compute in floats, is refused
+    by the presentation and the ring element alike."""
+    with pytest.raises(ValueError, match="not an element of"):
+        SubshiftPresentation(trivial_cocycle(field, Z), 1, [{((0,), 0): c}])
+    with pytest.raises(ValueError, match="not an element of"):
+        CrossedElement(field, Z, {(0,): c})
 
 
 def test_ses_dims_polynomial_hyperplane():
@@ -539,11 +554,9 @@ def test_union_additivity_and_monotonicity():
         F1 = FiniteSubset(Z, [(rng.randrange(-5, 6),) for _ in range(rng.randrange(1, 5))])
         F2 = FiniteSubset(Z, [(rng.randrange(-5, 6),) for _ in range(rng.randrange(1, 5))])
         union = F1.union(F2)
-        t1, t2, tu = (
-            Subspace.from_echelon(trajectory_echelon(p, F)) for F in (F1, F2, union)
-        )
+        t1, t2, tu = (trajectory_echelon(p, F) for F in (F1, F2, union))
         # T_{F1 u F2} = T_{F1} + T_{F2}
-        assert tu == span(p.field, t1.basis_rows() + t2.basis_rows())
+        assert tu.rref() == Echelon(p.field, [*t1.rref().values(), *t2.rref().values()]).rref()
         assert tu.dim <= t1.dim + t2.dim
         if F1.is_subset(F2):
             assert t1.dim <= t2.dim
@@ -552,7 +565,7 @@ def test_union_additivity_and_monotonicity():
 def test_equivariance_and_generator_bound():
     rng = random.Random(23)
     p = cyclic_presentation(CX3, E_PLUS_S)
-    coeff_dim = p.coefficient_span().dim
+    coeff_dim = Echelon(p.field, p.generators).dim
     for _ in range(30):
         F = FiniteSubset(
             ZZ2,
