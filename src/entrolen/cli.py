@@ -112,7 +112,12 @@ def _parse_inline_generators(field, group, rank: int, text: str, flag: str):
 
 
 def _fraction_arg(text: str) -> Fraction:
+    """Fraction(text), with a decimal exponent of at most 1000: Fraction
+    builds 10**exponent, and 1e10000000 alone takes about 10 s."""
+    _, e, exponent = text.lower().partition("e")
     try:
+        if e and abs(int(exponent)) > 1000:
+            raise argparse.ArgumentTypeError(f"exponent out of range in {text!r}")
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"bad fraction {text!r}") from None

@@ -343,8 +343,14 @@ def _integer_row(vec: dict) -> dict:
     """A rational vec times the lcm of its denominators, over its content:
     the primitive integer row of its line, positive at its minimal label."""
     m = math.lcm(*(v.denominator for v in vec.values()))
-    ints = {l: v.numerator * (m // v.denominator) for l, v in vec.items()}
+    ints = {l: v.numerator * (m // v.denominator) for l, v in vec.items() if v}
     return _primitive(None, ints, min(ints)) if ints else ints
+
+
+def _nonzero(vec: dict) -> dict:
+    """vec without explicit zero coefficients, which would be read as a
+    pivot or a residue: vec itself when it has none."""
+    return vec if all(vec.values()) else {l: v for l, v in vec.items() if v}
 
 
 def _reduce(rows: dict, field, vec: dict, sub=_subtract) -> dict:
@@ -401,13 +407,13 @@ class Echelon:
 
     def reduce(self, vec: dict) -> dict:
         self._solve()
-        return _reduce(self.rows, self.field, vec, self._sub)
+        return _reduce(self.rows, self.field, _nonzero(vec), self._sub)
 
     def add(self, vec: dict):
         """Insert vec's residue; returns the new pivot label, or None if
         vec was already in the span."""
         rows, field, sub = self.rows, self.field, self._sub
-        rem = dict(vec)
+        rem = dict(_nonzero(vec))
         while rem and (piv := min(rem)) in rows:
             sub(field, rem, rows[piv], piv)
         if not rem:

@@ -424,10 +424,14 @@ class BoxBits:
             digits[i] = 49  # b"1"; digit i is bit size - 1 - i
         return int(digits, 2)
 
+    @staticmethod
+    def bits(mask: int) -> list:
+        """The indices of mask's set bits, increasing, so in label order."""
+        return [m.start() for m in re.finditer("1", bin(mask)[:1:-1])]  # digit i is bit i
+
     def members(self, mask: int) -> frozenset:
         """The elements whose bits are set in mask."""
-        digits = bin(mask)[:1:-1]  # digits[i] is bit i
-        found = [m.start() for m in re.finditer("1", digits)]
+        found = self.bits(mask)
         return frozenset(zip(*(
             map(add, repeat(a), map(mod, map(floordiv, found, repeat(k)), repeat(b - a + 1)))
             for a, b, k in zip(self.lo, self.hi, self.strides)

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from itertools import repeat
 from math import ceil, floor
 from operator import or_
 
-from .groups import box, FiniteSubset, Heisenberg, translate
+from .groups import box, FiniteSubset, Heisenberg, translate, ZCrossZ2
 
 
 def _tiling_eps(eps) -> Fraction:
@@ -244,16 +244,39 @@ class TilingFailed(Exception):
         self.cover = cover
 
 
+def _eroded(table, group, corner, full, T, free):
+    """(1 << k, mask of cT) for each center c of A (bit k of full) with cT
+    inside free, in increasing k, which is A's canonical order.  The bits
+    are the erosion of free by T: the AND over t in T of free moved by
+    t^-1, exact since every ct lies in the box.  cT is the tile at base, A's
+    corner with torsion bit 0, moved up by k - k0 - s >= 0 bits; on ZxZ2 the
+    torsion bit s of c is bit 0 of k and picks the tile at base*(0, s)."""
+    odd = int(isinstance(group, ZCrossZ2))
+    base = corner[:len(corner) - odd] + (0,) * odd
+    k0 = table.get((base, 0))
+    tile = table.mask(list(zip(*group.left_translate(base, T.elements))))
+    tiles = [tile, group.shift(table, tile, (0, 1))][:1 + odd]
+    evens = (4 ** (table.size >> 1) - 1) // 3 if odd else -1  # the bits s = 0
+    fits = 0
+    for s, m in enumerate(tiles):
+        eroded = full & evens << s
+        for d in (j - k0 - s for j in table.bits(m)):
+            eroded &= free >> d if d >= 0 else free << -d
+        fits |= eroded
+    for k in table.bits(fits):
+        yield 1 << k, tiles[k & odd] << k - k0 - (k & odd)
+
+
 def greedy_quasi_tile(A: FiniteSubset, tiles, eps) -> QuasiTiling:
     """Greedy tiling: largest tiles first, centers scanned in canonical
     order; a center is accepted when its translate lies in A, misses every
     other tile's placed region, and overlaps its own class by strictly
     less than an eps fraction of the tile T, in fewer than ceil(eps |T|)
     cells.  On Z^d and ZxZ2 the sets are masks in the groups.box of A's
-    translates by T_1 + ... + {e} and a translate is one shift; sets stay
-    on the Heisenberg group, where ctr*T is a left translate and
-    group.shift makes right ones, and where the box would hold more than
-    4 |A| cells.
+    translates by T_1 + ... + {e}, a translate is one shift, and only the
+    centers that _eroded finds are tested; sets stay on the Heisenberg
+    group, where ctr*T is a left translate and group.shift makes right
+    ones, and where the box would hold more than 4 |A| cells.
 
     Raises TilingFailed when the placed regions do not reach a
     (1 - eps)-cover of A; on success the output provably passes
@@ -276,21 +299,17 @@ def greedy_quasi_tile(A: FiniteSubset, tiles, eps) -> QuasiTiling:
     table = None if isinstance(group, Heisenberg) else box(group, columns, reach, 4 * len(A))
     if table is None:
         full, count = set(A.elements), len
-        translates = [map(group.left_translate, A, repeat(T.elements)) for T in tiles]
+        candidates = lambda T, free: zip(A, map(group.left_translate, A, repeat(T.elements)))
     else:
-        base = tuple(map(min, columns))  # ctr*T = (ctr base^-1) base*T
-        back = group.inv(base)
-        steps = [group.mul(ctr, back) for ctr in A]
         full, count = table.mask(columns), int.bit_count
-        masks = (table.mask(list(zip(*group.left_translate(base, T.elements)))) for T in tiles)
-        translates = [map(group.shift, repeat(table), repeat(m), steps) for m in masks]
+        candidates = partial(_eroded, table, group, tuple(map(min, columns)), full)
     order = sorted(range(len(tiles)), key=lambda i: -len(tiles[i]))
     placed = [type(full)() for _ in tiles]  # empty sets or masks
-    centers: list[list] = [[] for _ in tiles]
+    centers: list[list] = [[] for _ in tiles]  # elements or bits
     for i in order:
         free, own = full ^ reduce(or_, placed), placed[i]  # the others lie in A
         quota = ceil(eps * len(tiles[i]))
-        for ctr, cells in zip(A, translates[i]):
+        for ctr, cells in candidates(tiles[i], free):
             inside = cells & free == cells if table else cells <= free
             if not inside or count(cells & own) >= quota:
                 continue
@@ -305,9 +324,8 @@ def greedy_quasi_tile(A: FiniteSubset, tiles, eps) -> QuasiTiling:
         )
     tiling = QuasiTiling(
         tuple(tiles),
-        tuple(
-            FiniteSubset._raw(A.group, frozenset(cs)) for cs in centers
-        ),
+        tuple(FiniteSubset._raw(group, table.members(sum(cs)) if table else frozenset(cs))
+              for cs in centers),
         eps,
     )
     report = check_quasi_tiling(A, tiling)

@@ -30,6 +30,7 @@ from entrolen.groups import (
     FiniteSubset,
     FreeAbelian,
     Heisenberg,
+    translate,
     ZCrossZ2,
 )
 from entrolen.tiling import greedy_quasi_tile, TilingFailed
@@ -180,8 +181,26 @@ def _greedy(A, tiles, eps):
         return ("failed", str(exc), exc.cover)
 
 
+@pytest.fixture
+def tested(monkeypatch):
+    """The candidates tiling._eroded yields, as lists per tile size, each
+    checked to be a whole translate inside the free cells: the erosion lets
+    no false candidate through to the exact tests."""
+    eroded, seen = tiling._eroded, {}
+
+    def checked(*args):  # partial(_eroded, table, group, corner, full)(T, free)
+        T, free = args[-2:]
+        found = list(eroded(*args))
+        assert all(cells & free == cells and cells.bit_count() == len(T) for _, cells in found)
+        seen.setdefault(len(T), []).append(found)
+        return iter(found)
+
+    monkeypatch.setattr(tiling, "_eroded", checked)
+    return seen
+
+
 @pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.name)
-def test_greedy_masks_equal_sets(group):
+def test_greedy_masks_equal_sets(group, tested):
     """Same centers, or the same TilingFailed and cover, as the set path,
     on random targets with holes and random tiles."""
     rng = random.Random(SEED + 3)
@@ -199,6 +218,67 @@ def test_greedy_masks_equal_sets(group):
         with set_path(tiling):
             assert got == _greedy(A, tiles, eps)
     assert boxed >= 15 and placed >= 5, (boxed, placed)
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.name)
+def test_greedy_masks_equal_sets_off_the_identity(group, tested):
+    """The set path's centers, or its TilingFailed and cover, for tiles
+    that miss e, moved to (-2, ..., -2) or (2, -2, ...), so the erosion
+    moves the free cells both ways, on targets with holes; on ZxZ2 the
+    move carries the torsion bit in some cases, and centers of both
+    torsion bits are placed.  The last tile is one cell: {g} in a third
+    of the cases, else {e}, which fills what the others leave, so that
+    most cases place their tiles."""
+    rng = random.Random(SEED + 7)
+    boxed = placed = 0
+    torsion = set()
+    for case in range(25):
+        A = _sparse(rng, group, rng.choice([0.8, 0.9, 1.0]))
+        g = (rng.choice([-2, 2]), *(-2 for _ in group.identity[1:]))
+        if isinstance(group, ZCrossZ2):
+            g = (g[0], case % 2)
+        tiles = [translate(g, _small(rng, group, rng.randint(2, 5), r=1))
+                 for _ in range(rng.randint(1, 2))]
+        assert all(group.identity not in T for T in tiles)
+        tiles.append(FiniteSubset(group, [g if case % 3 == 0 else group.identity]))
+        eps = rng.choice([Fraction(1, 10), Fraction(1, 4)])
+        reach = [group.identity, *(h for T in tiles for h in T)]
+        boxed += box(group, cols(A), reach, 4 * len(A)) is not None
+        got = _greedy(A, tiles, eps)
+        if got[0] != "failed":
+            placed += 1
+            torsion |= {c[-1] for C in got for c in C}
+        with set_path(tiling):
+            assert got == _greedy(A, tiles, eps)
+    assert boxed >= 20 and placed >= 10, (boxed, placed)
+    if isinstance(group, ZCrossZ2):
+        assert torsion == {0, 1}
+
+
+def test_greedy_masks_equal_sets_on_the_benchmark_tiling(tested):
+    """The tile-z2 benchmark job's input: F_30 of Z^2 by F_5 and F_2."""
+    boxes = Boxes(FreeAbelian(2))
+    A, tiles = boxes.set_at(30), [boxes.set_at(2), boxes.set_at(5)]
+    got = greedy_quasi_tile(A, tiles, Fraction(1, 10)).centers
+    with set_path(tiling):
+        assert got == greedy_quasi_tile(A, tiles, Fraction(1, 10)).centers
+    assert [len(C) for C in got] == [6, 31]
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.name)
+def test_a_tile_that_fits_nowhere_takes_no_exact_test(group, tested):
+    """A target cut by holes into strips narrower than the large tile: the
+    erosion leaves it no candidate, so no translate of it is tested, and
+    the one-cell tile is tested at, and placed on, every cell."""
+    scheme = (Boxes if isinstance(group, FreeAbelian) else BoxTimesZ2)(group)
+    A = FiniteSubset(group, [h for h in scheme.set_at(6) if h[0] % 4 != 3])
+    tiles = [scheme.set_at(2), FiniteSubset(group, [group.identity])]
+    got = greedy_quasi_tile(A, tiles, Fraction(1, 10))
+    assert [len(found) for found in tested[len(tiles[0])]] == [0]
+    assert [len(found) for found in tested[1]] == [len(A)]
+    assert got.centers == (FiniteSubset(group), A)
+    with set_path(tiling):
+        assert greedy_quasi_tile(A, tiles, Fraction(1, 10)).centers == got.centers
 
 
 def _refuse_masks():

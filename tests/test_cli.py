@@ -1,10 +1,14 @@
+import io
 import os
+import re
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import islice
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entrolen.cli import build_parser, main, parse_presentation
 from entrolen.shift_modules import parse_presentation_text
@@ -426,6 +430,99 @@ def test_tile_failure_exit_code(capsys):
     )
     assert code == 3
     assert out.startswith("construction,fail,")
+
+
+# The largest --target or --tiles index drawn per group, so that an
+# admitted run tiles in well under a second; 10**7 is over cli.MAX_CELLS
+# on every scheme where the CLI counts cells before building (a Heisenberg
+# ball is counted as it grows, so it gets no such draw).
+_TILE_FUZZ_SIZES = {"Z": 40, "Z^2": 8, "Z^3": 3, "ZxZ2": 20, "Heisenberg": 2}
+_TILE_FUZZ_SCHEMES = {"Z": "boxes", "Z^2": "boxes", "Z^3": "boxes", "ZxZ2": "boxz2"}
+_CONDITION = re.compile(
+    r"(tiles_inside_and_eps_disjoint|classes_pairwise_disjoint|cover),(pass|fail),\d+/\d+")
+_ELEMENT = r"\(-?\d+(,-?\d+)*\)"
+
+
+@st.composite
+def _tile_argv(draw):
+    """tile's argv: group, scheme, --target, --tiles (0, duplicates, over
+    the cell limit) and --eps strings.  Each option is a bad value one draw
+    in six and is left out one in ten, so that most runs get to tile."""
+    def pick(good, bad):
+        return draw(bad if draw(st.sampled_from([False] * 5 + [True])) else good)
+
+    group = pick(st.sampled_from(sorted(_TILE_FUZZ_SIZES)), st.sampled_from(["Z^0", "Q", ""]))
+    top = _TILE_FUZZ_SIZES.get(group, 2)
+    over = [-1] if group == "Heisenberg" else [-1, 10**7]
+    argv = ["tile", "--group", group]
+    if draw(st.booleans()):
+        good = ["balls", _TILE_FUZZ_SCHEMES.get(group, "balls")]
+        argv += ["--scheme", pick(st.sampled_from(good), st.sampled_from(["boxz2", "cubes"]))]
+    options = {
+        "--target": str(pick(st.integers(0, top), st.sampled_from(over))),
+        "--tiles": ",".join(map(str, pick(
+            st.lists(st.integers(0, max(top // 3, 1)), min_size=1, max_size=4),
+            st.lists(st.sampled_from([0, 1, *over]), min_size=1, max_size=3),
+        ))),
+        "--eps": pick(
+            st.fractions(Fraction(1, 40), Fraction(1, 4), max_denominator=40).map(str)
+            | st.sampled_from(["0.2", "1e-1", "1/4"]),
+            st.sampled_from(["0", "1/3", "-1/10", "1/0", "x", "", "1,2", "1e30000000"]),
+        ),
+    }
+    for flag, value in options.items():
+        if draw(st.sampled_from([True] * 9 + [False])):  # left out one time in ten
+            argv += [flag, value]
+    return argv
+
+
+def _run_in_process(argv):
+    """main(argv)'s exit code, stdout, stderr and seconds; argparse's
+    refusals exit through SystemExit, any other exception propagates."""
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), time.perf_counter() - start
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_tile_argv())
+def test_tile_argv_fuzz(argv):
+    """Every tile run exits 0, 2 or 3 within 20 s with no traceback.  Exit 0
+    prints the three condition lines and one centers line per tile, exit 3
+    the one construction line, and exit 2 nothing on stdout."""
+    code, out, err, seconds = _run_in_process(argv)
+    assert seconds < 20 and code in (0, 2, 3) and "Traceback" not in err, (code, err)
+    lines = out.splitlines()
+    if code == 0:
+        tiles = argv[argv.index("--tiles") + 1].split(",")
+        assert len(lines) == 3 + len(tiles) and err == ""
+        assert all(_CONDITION.fullmatch(line) for line in lines[:3]), lines[:3]
+        for i, line in enumerate(lines[3:], start=1):
+            assert re.fullmatch(rf"{i}:({_ELEMENT}(;{_ELEMENT})*)?", line), line
+    elif code == 3:
+        assert re.fullmatch(r"construction,fail,\d+/\d+", out.strip()) and len(lines) == 1
+    else:
+        assert out == "" and err.strip(), err
+
+
+@pytest.mark.parametrize("argv", [
+    ["tile", "--group", "Z", "--target", "20", "--tiles", "2", "--eps", "1e30000000"],
+    ["entropy", "--group", "Z", "--field", "gf2", "--rank", "1", "--gen", "1*(0)|1",
+     "--nmax", "3", "--certify-eps", "1e-99999999999"],
+    ["addition-check", "--group", "Z", "--field", "q", "--rank", "1", "--gen", "1*(0)|1",
+     "--ngen", "1*(0)|1", "--nmax", "2", "--tol", "1E+30000000"],
+], ids=["eps", "certify-eps", "tol"])
+def test_fraction_flags_refuse_huge_exponents_at_once(argv):
+    """A fraction flag with a decimal exponent over 1000 exits 2 at once:
+    Fraction("1e30000000") alone runs for over a minute."""
+    code, out, err, seconds = _run_in_process(argv)
+    assert (code, out) == (2, "") and seconds < 2
+    assert err.splitlines()[-1].endswith(f"exponent out of range in {argv[-1]!r}")
 
 
 def test_folner_ratios_csv(capsys):

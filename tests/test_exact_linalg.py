@@ -307,6 +307,36 @@ def test_echelon_reduce_is_projection():
     assert all(l not in ech.rows for l in rem)
 
 
+@pytest.mark.parametrize("field, make", [
+    (GF3, Echelon), (QQ, Echelon), (QQ, rank_echelon),
+], ids=["gf3", "q", "q-integer-rows"])
+def test_explicit_zero_coefficients_are_dropped(field, make):
+    """A zero written into a vector is neither a pivot nor a residue: an
+    echelon fed vectors with explicit zeros, at the minimal label too,
+    answers as one fed the same vectors without them.  A zero must not
+    become a pivot: over GF(3) it has no inverse, and over Q a zero pivot
+    entry makes reduce leave vectors of the span nonzero."""
+    c = (lambda x: x) if field == GF3 else Fraction
+    vecs = [{0: 0, 1: 1}, {1: 2, 2: 0, 3: 1}, {0: 0, 4: 0}, {0: 1, 2: 0, 4: 2}, {1: 1, 3: 1}]
+    vecs = [{l: c(v) for l, v in vec.items()} for vec in vecs]
+    probes = [{1: 1}, {0: 0, 1: 2, 3: 0}, {3: 0}, {0: 0, 2: 1, 4: 1}, {0: 2, 4: 1}]
+    probes = [{l: c(v) for l, v in vec.items()} for vec in probes]
+    dirty, clean = make(field), make(field)
+    for vec in vecs:
+        assert (dirty.add(dirty.pack(vec)) is None) == (clean.add(clean.pack(_drop_zeros(vec))) is None)
+        assert dirty.rref() == clean.rref()
+    for probe in probes:
+        assert dirty.reduce(dirty.pack(probe)) == clean.reduce(clean.pack(_drop_zeros(probe)))
+    assert not dirty.reduce(dirty.pack({1: c(1)}))  # in the span, as {0: 0, 1: 1} was added
+    assert dirty.dim == 3 and set(dirty.rows) == {0, 1, 3}
+    if make is Echelon:
+        assert Echelon(field, [{0: c(0), 1: c(1)}]).rref() == {1: {1: c(1)}}
+
+
+def _drop_zeros(vec):
+    return {l: v for l, v in vec.items() if v}
+
+
 def test_inv_of_zero_raises():
     for field in FINITE_FIELDS + [QQ]:
         with pytest.raises(ZeroDivisionError):
